@@ -18,7 +18,10 @@
 using namespace siphoc;
 
 int main() {
+  // The run's metrics land here and nowhere else; the sidecar exports it.
+  SimContext context;
   scenario::Options options;
+  options.context = &context;
   options.nodes = 4;
   options.topology = scenario::Topology::kChain;
   options.spacing = 100;
@@ -96,9 +99,8 @@ int main() {
   for (const auto& entry : bed.stack(0).slp().snapshot()) {
     std::printf("  %s\n", entry.to_string().c_str());
   }
-  auto& registry = MetricsRegistry::instance();
   if (MetricsRegistry::write_file("packet_trace.metrics.json",
-                                  registry.to_json())) {
+                                  context.metrics().to_json())) {
     std::printf("\nmetrics sidecar: packet_trace.metrics.json\n");
   }
   return result.established ? 0 : 1;

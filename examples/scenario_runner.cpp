@@ -674,9 +674,11 @@ int main(int argc, char** argv) {
   }
 
   if (sweep_seeds == 0) {
-    // Single run, exactly as before the sweep mode existed: simulate in the
-    // process-global context and export its registry.
+    // Single run: every testbed the script builds reports into this one
+    // context, and the sidecar exports it.
+    SimContext context;
     Runner runner;
+    runner.ctx = &context;
     runner.sim_threads = sim_threads;
     if (have_faults) runner.fault_plan = &fault_plan;
     for (const auto& line : split(script, '\n')) {
@@ -684,7 +686,7 @@ int main(int argc, char** argv) {
     }
     runner.finish();
 
-    auto& registry = MetricsRegistry::instance();
+    auto& registry = context.metrics();
     if (!metrics_path.empty()) {
       if (MetricsRegistry::write_file(metrics_path, registry.to_json())) {
         std::printf("metrics sidecar written to %s\n", metrics_path.c_str());

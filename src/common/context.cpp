@@ -10,24 +10,12 @@ thread_local SimContext* t_current = nullptr;
 }  // namespace
 
 SimContext::SimContext()
-    : owned_metrics_(std::make_unique<MetricsRegistry>()),
-      owned_log_(std::make_unique<Logging>()),
-      metrics_(owned_metrics_.get()),
-      log_(owned_log_.get()) {}
-
-SimContext::SimContext(GlobalTag)
-    : metrics_(&MetricsRegistry::instance()), log_(&Logging::instance()) {}
+    : metrics_(std::make_unique<MetricsRegistry>()),
+      log_(std::make_unique<Logging>()) {}
 
 SimContext::~SimContext() = default;
 
-SimContext& SimContext::global() {
-  static SimContext context{GlobalTag{}};
-  return context;
-}
-
-SimContext& SimContext::current() {
-  return t_current != nullptr ? *t_current : global();
-}
+SimContext* SimContext::current() { return t_current; }
 
 std::uint64_t SimContext::derive_seed(std::uint64_t root,
                                       std::uint64_t index) {
@@ -60,10 +48,12 @@ SimContext::Bind::Bind(SimContext& context) : previous_(t_current) {
 
 SimContext::Bind::~Bind() { t_current = previous_; }
 
-MetricsRegistry& MetricsRegistry::current() {
-  return SimContext::current().metrics();
+MetricsRegistry* MetricsRegistry::current() {
+  return t_current != nullptr ? &t_current->metrics() : nullptr;
 }
 
-Logging& Logging::current() { return SimContext::current().log(); }
+Logging* Logging::current() {
+  return t_current != nullptr ? &t_current->log() : nullptr;
+}
 
 }  // namespace siphoc

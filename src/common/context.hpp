@@ -2,13 +2,11 @@
 // observes -- metrics registry, log sink, virtual-time source, root RNG
 // seed.
 //
-// Historically MetricsRegistry and Logging were process-wide singletons,
-// which meant two simulators could not coexist in one process (the second
-// one's counters landed in the first one's registry, and destroying either
-// clobbered the shared time source). SimContext makes the bundle a value:
-// each Simulator/Testbed owns (or borrows) one, and every layer that used
-// to call MetricsRegistry::instance() now reaches the registry through its
-// simulator's context.
+// There is no process-wide context. Each Simulator/Testbed owns one (a
+// simulator built without a context creates a fresh one) or borrows one
+// its caller owns, and every layer reaches the registry through its
+// simulator's context. Two simulators therefore never share a registry
+// unless their caller hands both the same context on purpose.
 //
 // Two access paths coexist deliberately:
 //   * explicit: components that hold a Host/Simulator reach
@@ -19,13 +17,8 @@
 //     installed by SimContext::Bind (the Simulator binds its context for
 //     the duration of every run loop, the parallel cell runner binds it
 //     around a whole cell). Leaf code with no path to a simulator (Logger,
-//     ScopedSpan default) resolves through it and degrades to the global
-//     context when nothing is bound -- so existing single-simulation entry
-//     points compile and behave unchanged.
-//
-// The default context (SimContext::global()) wraps the legacy singletons,
-// keeping the old "one process, one registry" world intact for code that
-// never asks for isolation.
+//     ScopedSpan default) resolves through it and does nothing when no
+//     context is bound.
 #pragma once
 
 #include <cstdint>
@@ -48,12 +41,8 @@ class SimContext {
   SimContext(const SimContext&) = delete;
   SimContext& operator=(const SimContext&) = delete;
 
-  /// The default context wrapping the process-wide MetricsRegistry and
-  /// Logging singletons.
-  static SimContext& global();
-
-  /// The context bound to this thread (via Bind), or global() when none.
-  static SimContext& current();
+  /// The context bound to this thread (via Bind), or null when none.
+  static SimContext* current();
 
   MetricsRegistry& metrics() { return *metrics_; }
   const MetricsRegistry& metrics() const { return *metrics_; }
@@ -92,13 +81,8 @@ class SimContext {
   };
 
  private:
-  struct GlobalTag {};
-  explicit SimContext(GlobalTag);
-
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  std::unique_ptr<Logging> owned_log_;
-  MetricsRegistry* metrics_;
-  Logging* log_;
+  std::unique_ptr<MetricsRegistry> metrics_;
+  std::unique_ptr<Logging> log_;
   std::uint64_t root_seed_ = 0;
   const void* time_owner_ = nullptr;
 };

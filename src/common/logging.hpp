@@ -30,15 +30,14 @@ struct LogRecord {
 using LogSink = std::function<void(const LogRecord&)>;
 
 /// Logging configuration: sink, level, time source. One instance per
-/// SimContext; instance() is the default context's (process-wide) one and
-/// current() resolves the thread-bound context's (see common/context.hpp).
-/// The simulator sets the time source on its own context's instance.
+/// SimContext; current() resolves the thread-bound context's, null when no
+/// context is bound (see common/context.hpp). The simulator sets the time
+/// source on its own context's instance.
 class Logging {
  public:
   Logging() = default;
 
-  static Logging& instance();
-  static Logging& current();
+  static Logging* current();
 
   void set_sink(LogSink sink) { sink_ = std::move(sink); }
   void set_level(LogLevel level) { level_ = level; }
@@ -62,7 +61,8 @@ class Logging {
   std::function<TimePoint()> now_;
 };
 
-/// Per-component logger handle; cheap to copy.
+/// Per-component logger handle; cheap to copy. Logs into the thread-bound
+/// context and does nothing when none is bound.
 class Logger {
  public:
   Logger() = default;
@@ -71,11 +71,11 @@ class Logger {
 
   template <typename... Args>
   void log(LogLevel level, Args&&... args) const {
-    auto& g = Logging::current();
-    if (level < g.level()) return;
+    Logging* g = Logging::current();
+    if (g == nullptr || level < g->level()) return;
     std::ostringstream os;
     (os << ... << std::forward<Args>(args));
-    g.emit(level, component_, node_, std::move(os).str());
+    g->emit(level, component_, node_, std::move(os).str());
   }
 
   template <typename... Args>

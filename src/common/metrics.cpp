@@ -75,11 +75,6 @@ void Histogram::merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-MetricsRegistry& MetricsRegistry::instance() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 MetricsRegistry::SeriesKey MetricsRegistry::admit(std::string_view name,
                                                   std::string_view node,
                                                   std::string_view component) {

@@ -8,9 +8,9 @@
 // (t_start, t_end, component, node, name) spans for latency-shaped
 // quantities (route discovery, SLP resolution, INVITE transactions).
 //
-// Registries are per-simulation: each SimContext owns one, and instance()
-// is merely the default context's registry (see common/context.hpp and
-// docs/METRICS.md "Per-simulation registries"). A registry instance is
+// Registries are per-simulation: each SimContext owns one and there is no
+// process-wide registry (see common/context.hpp and docs/METRICS.md
+// "Per-simulation registries"). A registry instance is
 // single-threaded by design -- parallel experiment cells each get their
 // own and are merged afterwards via merge_from(), in submission order, so
 // merged sidecars are independent of thread count.
@@ -98,12 +98,9 @@ class MetricsRegistry {
  public:
   MetricsRegistry() = default;
 
-  /// The process-default registry (the one SimContext::global() wraps).
-  static MetricsRegistry& instance();
-
-  /// The registry of the thread-bound SimContext; instance() when no
-  /// context is bound. Leaf code with no path to a simulator uses this.
-  static MetricsRegistry& current();
+  /// The registry of the thread-bound SimContext; null when no context is
+  /// bound. Leaf code with no path to a simulator uses this.
+  static MetricsRegistry* current();
 
   /// The simulator registers itself here (same hook shape as Logging) so
   /// span timestamps and export headers carry virtual time.
@@ -193,18 +190,19 @@ class MetricsRegistry {
 };
 
 /// RAII span over virtual time: records [construction, destruction] on the
-/// given registry, defaulting to the thread-bound context's registry.
+/// given registry, defaulting to the thread-bound context's registry; with
+/// neither, the span records nothing.
 class ScopedSpan {
  public:
   ScopedSpan(std::string name, std::string component, std::string node = {},
              MetricsRegistry* registry = nullptr)
-      : registry_(registry != nullptr ? registry
-                                      : &MetricsRegistry::current()),
+      : registry_(registry != nullptr ? registry : MetricsRegistry::current()),
         name_(std::move(name)),
         component_(std::move(component)),
         node_(std::move(node)),
-        start_(registry_->now()) {}
+        start_(registry_ != nullptr ? registry_->now() : TimePoint{}) {}
   ~ScopedSpan() {
+    if (registry_ == nullptr) return;
     registry_->record_span(name_, component_, node_, start_,
                            registry_->now());
   }

@@ -9,7 +9,6 @@ namespace siphoc::scenario {
 NodeStackConfig Testbed::node_stack_config() const {
   NodeStackConfig config = options_.stack;
   config.routing = options_.routing;
-  config.olsr.route_hub = route_hub_.get();
   return config;
 }
 
@@ -26,7 +25,7 @@ Testbed::Testbed(Options options) : options_(std::move(options)) {
   // metrics/loggers and must land in this testbed's context.
   SimContext::Bind bind(sim_->ctx());
 
-  if (options_.sim_regions > 0) {
+  if (options_.sim_regions > 1) {
     sim::Simulator::ShardConfig shard;
     shard.regions = static_cast<std::uint32_t>(std::min<std::size_t>(
         options_.sim_regions, std::max<std::size_t>(options_.nodes, 1)));
@@ -38,9 +37,6 @@ Testbed::Testbed(Options options) : options_(std::move(options)) {
     // must be configured to.
     assert(!sim_->sharded() ||
            options_.internet_latency >= options_.radio.mac_latency);
-    if (!sim_->sharded()) {
-      route_hub_ = std::make_unique<routing::ParallelRouteHub>(*sim_);
-    }
   }
 
   medium_ = std::make_unique<net::RadioMedium>(*sim_, options_.radio);

@@ -36,11 +36,14 @@ class ExecGuard {
 };
 
 constexpr std::uint32_t kNoLane = 0xffffffffu;
+constexpr std::uint64_t kAllEvents = ~std::uint64_t{0};
 
 }  // namespace
 
 Simulator::Simulator(std::uint64_t seed, SimContext* context)
-    : ctx_(context != nullptr ? context : &SimContext::global()), seed_(seed) {
+    : owned_ctx_(context != nullptr ? nullptr : std::make_unique<SimContext>()),
+      ctx_(context != nullptr ? context : owned_ctx_.get()),
+      seed_(seed) {
   lanes_.emplace_back(seed);
   ctx_->set_root_seed(seed);
   ctx_->adopt_time_source(this, [this] { return lanes_[0].now; });
@@ -59,20 +62,19 @@ void Simulator::enable_parallelism(const ShardConfig& config) {
   assert(lanes_.size() == 1 && lanes_[0].queue.empty() &&
          "enable_parallelism must run before any event is scheduled");
   assert(config.lookahead > Duration::zero());
+  if (config.regions <= 1) return;
   lookahead_ = config.lookahead;
   lanes_.reserve(1 + config.regions);
-  if (config.regions > 1) {
-    for (std::uint32_t r = 1; r <= config.regions; ++r) {
-      // Region lanes draw from streams derived the same way sweep cells
-      // do: a function of (root seed, lane index) only -- never of thread
-      // count or execution order.
-      Lane& lane = lanes_.emplace_back(SimContext::derive_seed(seed_, r));
-      lane.ctx = std::make_unique<SimContext>();
-      lane.ctx->set_root_seed(SimContext::derive_seed(seed_, r));
-      const std::uint32_t index = r;
-      lane.ctx->adopt_time_source(this,
-                                  [this, index] { return lanes_[index].now; });
-    }
+  for (std::uint32_t r = 1; r <= config.regions; ++r) {
+    // Region lanes draw from streams derived the same way sweep cells do:
+    // a function of (root seed, lane index) only -- never of thread count
+    // or execution order.
+    Lane& lane = lanes_.emplace_back(SimContext::derive_seed(seed_, r));
+    lane.ctx = std::make_unique<SimContext>();
+    lane.ctx->set_root_seed(SimContext::derive_seed(seed_, r));
+    const std::uint32_t index = r;
+    lane.ctx->adopt_time_source(this,
+                                [this, index] { return lanes_[index].now; });
   }
   pool_ = std::make_unique<WorkerPool>(config.threads == 0 ? 1 : config.threads);
 }
@@ -102,15 +104,6 @@ TimePoint Simulator::now() const { return lanes_[current_lane()].now; }
 Rng& Simulator::rng() { return lanes_[current_lane()].rng; }
 
 SimContext& Simulator::ctx() { return lane_context(current_lane()); }
-
-void Simulator::parallel_for(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  if (pool_ != nullptr && !in_parallel_window()) {
-    pool_->run(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
 
 void Simulator::merge_lane_metrics() {
   if (lanes_merged_) return;
@@ -158,11 +151,17 @@ EventHandle Simulator::schedule_on(std::uint32_t lane_index, Duration delay,
   return push_event(lanes_[lane_index], when, std::move(fn));
 }
 
-bool Simulator::step(TimePoint limit) {
-  Lane& lane = lanes_[0];
-  while (!lane.queue.empty()) {
+void Simulator::run_lane(std::uint32_t lane_index, TimePoint last,
+                         bool in_window, std::uint64_t max_events) {
+  Lane& lane = lanes_[lane_index];
+  ExecGuard guard(this, lane_index, in_window);
+  // Leaf code (Logger, default ScopedSpan) resolves the lane's context
+  // through SimContext::current().
+  SimContext::Bind bind(lane_context(lane_index));
+  std::uint64_t executed = 0;
+  while (executed < max_events && !lane.queue.empty()) {
     const QueueEntry top = lane.queue.top();  // POD copy; closure stays pooled
-    if (top.when > limit) return false;
+    if (top.when > last) return;
     lane.queue.pop();
     lane.now = top.when;
     detail::EventRecord& rec = lane.pool->records[top.slot];
@@ -173,10 +172,9 @@ bool Simulator::step(TimePoint limit) {
     lane.pool->release(top.slot);
     if (cancelled) continue;
     ++lane.events_executed;
+    ++executed;
     fn();
-    return true;
   }
-  return false;
 }
 
 void Simulator::run_until(TimePoint until) {
@@ -184,11 +182,7 @@ void Simulator::run_until(TimePoint until) {
     run_until_sharded(until);
     return;
   }
-  // Bind our context for the duration of the run loop so leaf code
-  // (Logger, default ScopedSpan) resolving via current() lands here.
-  SimContext::Bind bind(*ctx_);
-  while (step(until)) {
-  }
+  run_lane(0, until, /*in_window=*/false, kAllEvents);
   if (lanes_[0].now < until) lanes_[0].now = until;
 }
 
@@ -197,9 +191,7 @@ void Simulator::run_to_completion() {
     run_until_sharded(TimePoint::max());
     return;
   }
-  SimContext::Bind bind(*ctx_);
-  while (step(TimePoint::max())) {
-  }
+  run_lane(0, TimePoint::max(), /*in_window=*/false, kAllEvents);
 }
 
 void Simulator::prune_cancelled(Lane& lane) {
@@ -208,40 +200,6 @@ void Simulator::prune_cancelled(Lane& lane) {
     if (!lane.pool->records[top.slot].cancelled) return;
     lane.queue.pop();
     lane.pool->release(top.slot);
-  }
-}
-
-void Simulator::exec_top(std::uint32_t lane_index) {
-  Lane& lane = lanes_[lane_index];
-  const QueueEntry top = lane.queue.top();
-  lane.queue.pop();
-  lane.now = top.when;
-  detail::EventRecord& rec = lane.pool->records[top.slot];
-  std::function<void()> fn = std::move(rec.fn);
-  lane.pool->release(top.slot);
-  ++lane.events_executed;
-  ExecGuard guard(this, lane_index, /*in_window=*/false);
-  SimContext::Bind bind(lane_context(lane_index));
-  fn();
-}
-
-void Simulator::run_lane_window(std::uint32_t lane_index, TimePoint wend,
-                                TimePoint until) {
-  Lane& lane = lanes_[lane_index];
-  ExecGuard guard(this, lane_index, /*in_window=*/true);
-  SimContext::Bind bind(lane_context(lane_index));
-  for (;;) {
-    prune_cancelled(lane);
-    if (lane.queue.empty()) return;
-    const QueueEntry top = lane.queue.top();
-    if (top.when >= wend || top.when > until) return;
-    lane.queue.pop();
-    lane.now = top.when;
-    detail::EventRecord& rec = lane.pool->records[top.slot];
-    std::function<void()> fn = std::move(rec.fn);
-    lane.pool->release(top.slot);
-    ++lane.events_executed;
-    fn();
   }
 }
 
@@ -272,6 +230,8 @@ void Simulator::run_until_sharded(TimePoint until) {
         window_start > TimePoint::max() - lookahead_
             ? TimePoint::max()
             : window_start + lookahead_;
+    // Events run while due before the window end and not after `until`.
+    const TimePoint last = std::min(until, wend - Duration{1});
     ++windows_run_;
 
     // A window containing a scenario-lane (lane 0) event runs fully
@@ -281,9 +241,8 @@ void Simulator::run_until_sharded(TimePoint until) {
     // correct without per-object locking. The decision depends only on
     // event content, never on thread count, so it cannot break identity.
     Lane& scenario = lanes_[0];
-    const bool serial = !scenario.queue.empty() &&
-                        scenario.queue.top().when < wend &&
-                        scenario.queue.top().when <= until;
+    const bool serial =
+        !scenario.queue.empty() && scenario.queue.top().when <= last;
     if (serial) {
       ++windows_serialized_;
       for (;;) {
@@ -293,18 +252,19 @@ void Simulator::run_until_sharded(TimePoint until) {
           prune_cancelled(lanes_[l]);
           if (lanes_[l].queue.empty()) continue;
           const TimePoint w = lanes_[l].queue.top().when;
-          if (w >= wend || w > until) continue;
+          if (w > last) continue;
           if (best == kNoLane || w < best_when) {
             best = l;
             best_when = w;
           }
         }
         if (best == kNoLane) break;
-        exec_top(best);
+        run_lane(best, last, /*in_window=*/false, 1);
       }
     } else {
-      pool_->run(lanes_.size() - 1, [this, wend, until](std::size_t k) {
-        run_lane_window(static_cast<std::uint32_t>(k + 1), wend, until);
+      pool_->run(lanes_.size() - 1, [this, last](std::size_t k) {
+        run_lane(static_cast<std::uint32_t>(k + 1), last, /*in_window=*/true,
+                 kAllEvents);
       });
     }
 

@@ -121,9 +121,9 @@ class EventHandle {
 class Simulator {
  public:
   /// `context` is the SimContext this simulation reports into (metrics,
-  /// logging, time source); null means the process-default global context,
-  /// which preserves the historical singleton behavior for single-sim
-  /// entry points. The simulator does not own the context.
+  /// logging, time source) and is borrowed; null gives the simulator a
+  /// fresh context of its own, so two simulators never share a registry
+  /// by accident.
   explicit Simulator(std::uint64_t seed = 1, SimContext* context = nullptr);
   ~Simulator();
 
@@ -153,21 +153,20 @@ class Simulator {
     unsigned threads = 1;
   };
 
-  /// Switches the kernel into parallel mode. Must be called before any
-  /// event is scheduled. With regions == 1 no lanes are added (the classic
-  /// sequential loop runs), but the worker pool becomes available to
-  /// parallel_for() hot loops.
+  /// Switches the kernel into sharded mode: one scenario lane plus
+  /// `regions` region lanes on a pool of `threads` workers. Must be called
+  /// before any event is scheduled; `regions <= 1` leaves the sequential
+  /// kernel (lane 0 only) in place.
   void enable_parallelism(const ShardConfig& config);
 
   bool sharded() const { return lanes_.size() > 1; }
-  bool parallel_enabled() const { return pool_ != nullptr; }
   std::uint32_t lane_count() const {
     return static_cast<std::uint32_t>(lanes_.size());
   }
   /// Lane the calling thread is executing/scoped on (0 when none).
   std::uint32_t current_lane() const;
   /// True while the calling thread is inside a concurrent lane window (in
-  /// which case helpers must not fan out nested parallel work).
+  /// which case shared state such as live mobility models is off limits).
   bool in_parallel_window() const;
 
   /// RAII: routes schedule()/rng()/ctx() on this thread to `lane` -- used
@@ -185,13 +184,6 @@ class Simulator {
     std::uint32_t prev_lane_;
     bool prev_in_window_;
   };
-
-  /// Runs `fn(i)` for i in [0, n) on the worker pool (inline when the pool
-  /// is absent, single-threaded, or the caller is already inside a lane
-  /// window). Tasks must be independent and results must not depend on
-  /// execution order -- callers keep determinism by writing to disjoint
-  /// slots and reducing sequentially afterwards.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Called after every lookahead window (and once before the first), with
   /// all lanes quiescent: the radio medium uses it to rebuild its spatial
@@ -280,11 +272,14 @@ class Simulator {
   };
 
   EventHandle push_event(Lane& lane, TimePoint when, std::function<void()> fn);
-  bool step(TimePoint limit);  // classic sequential loop over lane 0
+  /// The kernel's one pop-execute loop: runs lane `lane_index`'s events due
+  /// at or before `last`, at most `max_events` of them (cancelled entries
+  /// are dropped on the way and do not count). The sequential kernel is
+  /// lane 0 run to `until`; a concurrent window runs each region lane to
+  /// the window end; a serialized window runs one event at a time.
+  void run_lane(std::uint32_t lane_index, TimePoint last, bool in_window,
+                std::uint64_t max_events);
   void run_until_sharded(TimePoint until);
-  void run_lane_window(std::uint32_t lane_index, TimePoint wend,
-                       TimePoint until);
-  void exec_top(std::uint32_t lane_index);
   void prune_cancelled(Lane& lane);
   void drain_outboxes();
   SimContext& lane_context(std::uint32_t lane_index) {
@@ -292,6 +287,7 @@ class Simulator {
     return lane.ctx ? *lane.ctx : *ctx_;
   }
 
+  std::unique_ptr<SimContext> owned_ctx_;  // set when built without a context
   SimContext* ctx_;
   std::uint64_t seed_;
   std::vector<Lane> lanes_;  // lane 0 always exists

@@ -1,8 +1,7 @@
 // Persistent worker pool for intra-simulation parallelism.
 //
-// One pool per sharded Simulator: region lanes (and the parallel hot-loop
-// helpers -- delivery prefilter, OLSR route recalculation) dispatch chunky
-// tasks onto it at every lookahead window. The calling thread always
+// One pool per sharded Simulator: its region lanes are the tasks
+// dispatched at every lookahead window. The calling thread always
 // participates, so a pool built with `threads == 1` degenerates to an
 // inline loop with zero synchronization -- which is what keeps
 // `--sim-threads 1` and `--sim-threads N` on the *same* code path, a

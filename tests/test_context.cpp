@@ -31,19 +31,34 @@ TEST(SimContextTest, DeriveSeedIsDeterministicDistinctAndNonZero) {
   }
 }
 
-TEST(SimContextTest, CurrentFallsBackToGlobalAndBindNests) {
-  EXPECT_EQ(&SimContext::current(), &SimContext::global());
+TEST(SimContextTest, CurrentIsNullWhenUnboundAndBindNests) {
+  EXPECT_EQ(SimContext::current(), nullptr);
   SimContext a, b;
   {
     SimContext::Bind bind_a(a);
-    EXPECT_EQ(&SimContext::current(), &a);
+    EXPECT_EQ(SimContext::current(), &a);
     {
       SimContext::Bind bind_b(b);
-      EXPECT_EQ(&SimContext::current(), &b);
+      EXPECT_EQ(SimContext::current(), &b);
     }
-    EXPECT_EQ(&SimContext::current(), &a);
+    EXPECT_EQ(SimContext::current(), &a);
   }
-  EXPECT_EQ(&SimContext::current(), &SimContext::global());
+  EXPECT_EQ(SimContext::current(), nullptr);
+}
+
+TEST(SimContextTest, SimulatorsWithoutContextDoNotShareARegistry) {
+  // A simulator built without a context owns a fresh one: nothing one run
+  // records can show up in another run's registry.
+  sim::Simulator a(1);
+  sim::Simulator b(2);
+  EXPECT_NE(&a.ctx(), &b.ctx());
+  EXPECT_NE(&a.ctx().metrics(), &b.ctx().metrics());
+  a.schedule(milliseconds(1), [] {
+    SimContext::current()->metrics().counter("test.ticks_total").add();
+  });
+  a.run_for(milliseconds(2));
+  EXPECT_EQ(a.ctx().metrics().counter_total("test.ticks_total"), 1u);
+  EXPECT_EQ(b.ctx().metrics().counter_total("test.ticks_total"), 0u);
 }
 
 TEST(SimContextTest, TwoSimulatorsCoexistOnOneThread) {
@@ -54,25 +69,22 @@ TEST(SimContextTest, TwoSimulatorsCoexistOnOneThread) {
   // Interleave: run A a bit, then B, then A again. Each simulation's
   // events must land in its own registry only.
   sim_a.schedule(milliseconds(1), [&] {
-    SimContext::current().metrics().counter("test.ticks_total", "a").add();
+    SimContext::current()->metrics().counter("test.ticks_total", "a").add();
   });
   sim_b.schedule(milliseconds(1), [&] {
-    SimContext::current().metrics().counter("test.ticks_total", "b").add(2);
+    SimContext::current()->metrics().counter("test.ticks_total", "b").add(2);
   });
   sim_a.schedule(milliseconds(5), [&] {
-    SimContext::current().metrics().counter("test.ticks_total", "a").add();
+    SimContext::current()->metrics().counter("test.ticks_total", "a").add();
   });
 
-  const auto global_before =
-      MetricsRegistry::instance().counter_total("test.ticks_total");
   sim_a.run_for(milliseconds(2));
   sim_b.run_for(milliseconds(2));
   sim_a.run_for(milliseconds(10));
 
   EXPECT_EQ(ctx_a.metrics().counter_total("test.ticks_total"), 2u);
   EXPECT_EQ(ctx_b.metrics().counter_total("test.ticks_total"), 2u);
-  EXPECT_EQ(MetricsRegistry::instance().counter_total("test.ticks_total"),
-            global_before);
+  EXPECT_EQ(SimContext::current(), nullptr) << "run loops must unbind";
 }
 
 TEST(SimContextTest, TimeSourceSurvivesEarlierOwnerDestruction) {

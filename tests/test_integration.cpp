@@ -301,12 +301,13 @@ TEST(IntegrationTest, MobileNodesCallEventuallySucceeds) {
 }
 
 // The observability contract end to end: a completed call must leave the
-// expected traces in the process-wide registry (docs/METRICS.md).
+// expected traces in the testbed's registry (docs/METRICS.md).
 TEST(IntegrationTest, CompletedCallLeavesMetricsTrail) {
-  auto& registry = MetricsRegistry::instance();
-  registry.reset();  // before the testbed: reset invalidates bound series
+  SimContext context;
+  auto& registry = context.metrics();
 
   scenario::Options o;
+  o.context = &context;
   o.nodes = 4;
   o.routing = RoutingKind::kAodv;
   o.seed = 77;

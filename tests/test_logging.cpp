@@ -1,30 +1,32 @@
 // Tests: logging plumbing and host stack edge cases not covered elsewhere.
 #include <gtest/gtest.h>
 
+#include "common/context.hpp"
 #include "net/host.hpp"
 #include "sim/simulator.hpp"
 
 namespace siphoc {
 namespace {
 
+/// Captures the log of its own context, bound to this thread while alive.
 class LogCapture {
  public:
-  LogCapture() {
-    Logging::instance().set_sink([this](const LogRecord& rec) {
+  LogCapture() : bind_(context) {
+    context.log().set_sink([this](const LogRecord& rec) {
       records.push_back(rec);
     });
-    Logging::instance().set_level(LogLevel::kDebug);
+    context.log().set_level(LogLevel::kDebug);
   }
-  ~LogCapture() {
-    Logging::instance().set_sink(nullptr);
-    Logging::instance().set_level(LogLevel::kOff);
-  }
+  SimContext context;
   std::vector<LogRecord> records;
+
+ private:
+  SimContext::Bind bind_;
 };
 
 TEST(LoggingTest, RecordsCarryComponentNodeAndTime) {
-  sim::Simulator sim;  // registers the time source
   LogCapture capture;
+  sim::Simulator sim(1, &capture.context);  // registers the time source
   Logger log("proxy", "n3");
   sim.run_for(seconds(2));
   log.info("hello ", 42, " world");
@@ -39,7 +41,7 @@ TEST(LoggingTest, RecordsCarryComponentNodeAndTime) {
 
 TEST(LoggingTest, LevelFiltering) {
   LogCapture capture;
-  Logging::instance().set_level(LogLevel::kWarn);
+  capture.context.log().set_level(LogLevel::kWarn);
   Logger log("test");
   log.debug("dropped");
   log.info("dropped");
@@ -50,10 +52,23 @@ TEST(LoggingTest, LevelFiltering) {
 
 TEST(LoggingTest, OffLevelMeansNoSinkCalls) {
   LogCapture capture;
-  Logging::instance().set_level(LogLevel::kOff);
+  capture.context.log().set_level(LogLevel::kOff);
   Logger log("test");
   log.error("still dropped");
   EXPECT_TRUE(capture.records.empty());
+}
+
+TEST(LoggingTest, UnboundLoggerDoesNothing) {
+  SimContext context;
+  std::vector<LogRecord> records;
+  context.log().set_sink([&](const LogRecord& rec) { records.push_back(rec); });
+  context.log().set_level(LogLevel::kDebug);
+  ASSERT_EQ(SimContext::current(), nullptr);
+  Logger("test").error("dropped: no context bound");
+  EXPECT_TRUE(records.empty());
+  SimContext::Bind bind(context);
+  Logger("test").error("kept");
+  EXPECT_EQ(records.size(), 1u);
 }
 
 TEST(LoggingTest, LevelNames) {

@@ -1,8 +1,9 @@
 // MetricsRegistry: instrument semantics, label cardinality cap, span ring
-// wraparound, virtual-time stamping and export round-trips. The registry
-// is process-wide, so every test starts from reset().
+// wraparound, virtual-time stamping and export round-trips. Every test
+// gets its own context, so no state carries over between tests.
 #include <gtest/gtest.h>
 
+#include "common/context.hpp"
 #include "common/metrics.hpp"
 #include "sim/simulator.hpp"
 
@@ -11,13 +12,8 @@ namespace {
 
 class MetricsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    registry().reset();
-    registry().set_label_cardinality_cap(512);
-    registry().set_span_capacity(4096);
-  }
-  void TearDown() override { registry().reset(); }
-  MetricsRegistry& registry() { return MetricsRegistry::instance(); }
+  MetricsRegistry& registry() { return context_.metrics(); }
+  SimContext context_;
 };
 
 TEST_F(MetricsTest, CounterIsMonotonicAndSharedByKey) {
@@ -117,7 +113,7 @@ TEST_F(MetricsTest, SpanRingWrapsAroundKeepingNewest) {
 }
 
 TEST_F(MetricsTest, SpansCarryVirtualTimeFromSimulator) {
-  sim::Simulator sim;  // registers itself as the registry time source
+  sim::Simulator sim(1, &context_);  // registers the registry time source
   sim.schedule(milliseconds(5), [] {
     ScopedSpan span("work", "unit", "n0");  // records [5ms, 5ms]
   });
@@ -134,6 +130,16 @@ TEST_F(MetricsTest, SpansCarryVirtualTimeFromSimulator) {
   EXPECT_EQ(spans[0].t_start, TimePoint{milliseconds(5)});
   EXPECT_EQ(spans[1].t_start, TimePoint{milliseconds(5)});
   EXPECT_EQ(spans[1].t_end, TimePoint{milliseconds(7)});
+}
+
+TEST_F(MetricsTest, ScopedSpanOutsideAnyContextRecordsNothing) {
+  ASSERT_EQ(SimContext::current(), nullptr);
+  { ScopedSpan span("orphan", "unit", "n0"); }
+  SimContext::Bind bind(context_);
+  { ScopedSpan span("bound", "unit", "n0"); }
+  const auto spans = registry().spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "bound");
 }
 
 TEST_F(MetricsTest, JsonExportRoundTrip) {

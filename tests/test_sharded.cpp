@@ -165,21 +165,9 @@ TEST(ShardedSimTest, GatewayAndInternetSerializeCorrectly) {
   EXPECT_GT(one.serialized, 0u) << "Internet events must serialize windows";
 }
 
-TEST(ShardedSimTest, RouteHubBatchingIsThreadCountInvariant) {
-  // regions == 1: parallel mode without sharding -- one lane, but route
-  // recalcs batch through the hub and delivery prefilters may fan out.
-  Workload w;
-  w.regions = 1;
-  const auto one = at_threads(w, 1);
-  const auto four = at_threads(w, 4);
-
-  EXPECT_TRUE(one.established);
-  EXPECT_TRUE(one == four) << "hub batching diverged across thread counts";
-}
-
 TEST(ShardedSimTest, RegionCountIsSimulationContent) {
-  // Different region counts are different simulations (lane RNG streams,
-  // batching) -- like changing the seed. Document the contract: identity
+  // Different region counts are different simulations (lane RNG streams)
+  // -- like changing the seed. Document the contract: identity
   // is only promised across thread counts at a fixed region count.
   const Workload w;
   const auto sequential = at_threads([] {
