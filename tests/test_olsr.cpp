@@ -2,7 +2,11 @@
 // dissemination, route computation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <numeric>
+
 #include "routing/olsr.hpp"
+#include "scenario/scenario.hpp"
 
 namespace siphoc::routing {
 namespace {
@@ -208,6 +212,68 @@ TEST_F(OlsrNet, NudgeAdvertisementEmitsImmediately) {
   daemons_[0]->nudge_advertisement();
   EXPECT_GT(daemons_[0]->stats().control_packets_sent, before);
 }
+
+// Route completeness across kernels: on a static random placement, once
+// OLSR has settled every node must hold a FIB route to every node in its
+// unit-disk component. A TC that an MPR drops because its first copy
+// arrived from a non-selector leaves such holes, and only some kernels
+// (event interleavings) expose them, so the check runs on the sequential
+// kernel and on two sharded region counts.
+class OlsrRouteCompleteness : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(OlsrRouteCompleteness, EveryConnectedPairHasARoute) {
+  SimContext context;
+  scenario::Options o;
+  o.context = &context;
+  o.seed = 8;
+  o.nodes = 120;
+  o.topology = scenario::Topology::kRandomArea;
+  o.area = 75.0 * std::sqrt(120.0);
+  o.routing = RoutingKind::kOlsr;
+  o.sim_regions = GetParam();
+  scenario::Testbed bed(o);
+  bed.start();
+  bed.settle(seconds(40));
+
+  // Unit-disk components (union-find over in-range pairs).
+  std::vector<std::size_t> parent(bed.size());
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
+  auto root = [&](std::size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  for (std::size_t i = 0; i < bed.size(); ++i) {
+    for (std::size_t j = i + 1; j < bed.size(); ++j) {
+      if (bed.medium().connected(static_cast<net::NodeId>(i),
+                                 static_cast<net::NodeId>(j))) {
+        parent[root(i)] = root(j);
+      }
+    }
+  }
+
+  std::size_t pairs = 0;
+  std::size_t missing = 0;
+  for (std::size_t i = 0; i < bed.size(); ++i) {
+    for (std::size_t j = 0; j < bed.size(); ++j) {
+      if (i == j || root(i) != root(j)) continue;
+      ++pairs;
+      const auto route =
+          bed.host(i).lookup_route(scenario::Testbed::manet_address(j));
+      if (!route || route->prefix_len != 32) {
+        if (++missing <= 5) ADD_FAILURE() << "n" << i << " has no route to n" << j;
+      }
+    }
+  }
+  EXPECT_GT(pairs, 10000u) << "placement should be mostly connected";
+  EXPECT_EQ(missing, 0u) << missing << " of " << pairs
+                         << " connected pairs lack a route";
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, OlsrRouteCompleteness,
+                         ::testing::Values(0u, 2u, 8u),
+                         [](const auto& info) {
+                           return "regions" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace siphoc::routing
