@@ -8,7 +8,10 @@
 //
 //   docs_check benches <bench-dir> <doc.md> [more docs...]
 //       Every bench_*.cpp in <bench-dir> defines a binary; its name must
-//       appear in at least one of the given docs.
+//       appear in at least one of the given docs. The docs' bench catalog
+//       table ends each row with a smoke column ("yes"/"no"); the benches
+//       marked "yes" must be exactly those with a `<bench>_smoke` add_test
+//       in <bench-dir>/CMakeLists.txt.
 //
 //   docs_check flags <source-file> <doc.md> [more docs...]
 //       Scans the source for command-line flag string literals (a whole
@@ -23,6 +26,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace {
@@ -94,6 +98,89 @@ bool is_option_key_literal(const std::string& s) {
   return !last_dash;
 }
 
+std::string trim(std::string s) {
+  const auto space = [](unsigned char c) { return std::isspace(c) != 0; };
+  while (!s.empty() && space(static_cast<unsigned char>(s.back()))) s.pop_back();
+  std::size_t i = 0;
+  while (i < s.size() && space(static_cast<unsigned char>(s[i]))) ++i;
+  return s.substr(i);
+}
+
+/// Benches the catalog table marks as smoke-tested: rows of the form
+/// "| `bench_x` | ... | yes |". `found` reports whether any catalog row
+/// carries a smoke column at all.
+std::set<std::string> documented_smoke(const std::string& docs, bool& found) {
+  std::set<std::string> smoked;
+  std::istringstream lines(docs);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("| `bench_", 0) != 0) continue;
+    std::vector<std::string> cells;
+    std::istringstream row(line.substr(1));
+    std::string cell;
+    while (std::getline(row, cell, '|')) cells.push_back(trim(cell));
+    if (!cells.empty() && cells.back().empty()) cells.pop_back();
+    if (cells.size() < 3) continue;
+    const std::string& smoke = cells.back();
+    if (smoke != "yes" && smoke != "no") continue;
+    found = true;
+    if (smoke == "yes") {
+      smoked.insert(cells.front().substr(1, cells.front().size() - 2));
+    }
+  }
+  return smoked;
+}
+
+/// Benches with a `<bench>_smoke` add_test in a CMakeLists.txt, expanding
+/// `add_test(NAME ${var}_smoke ...)` over the enclosing foreach(var ...).
+std::set<std::string> cmake_smoke(const std::string& text) {
+  std::set<std::string> smoked;
+  std::istringstream words(text);
+  std::string word;
+  std::string loop_var;
+  std::vector<std::string> loop_items;
+  bool in_foreach_header = false;
+  bool after_name = false;
+  while (words >> word) {
+    if (word.rfind("foreach(", 0) == 0) {
+      loop_var = word.substr(8);
+      loop_items.clear();
+      in_foreach_header = true;
+      continue;
+    }
+    if (in_foreach_header) {
+      const bool last = word.back() == ')';
+      if (last) word.pop_back();
+      if (!word.empty()) loop_items.push_back(word);
+      in_foreach_header = !last;
+      continue;
+    }
+    if (word.rfind("endforeach", 0) == 0) {
+      loop_var.clear();
+      loop_items.clear();
+      continue;
+    }
+    if (word == "add_test(NAME") {
+      after_name = true;
+      continue;
+    }
+    if (!after_name) continue;
+    after_name = false;
+    constexpr std::string_view kSuffix = "_smoke";
+    if (word.size() <= kSuffix.size() ||
+        word.compare(word.size() - kSuffix.size(), kSuffix.size(), kSuffix) != 0) {
+      continue;
+    }
+    const std::string base = word.substr(0, word.size() - kSuffix.size());
+    if (!loop_var.empty() && base == "${" + loop_var + "}") {
+      smoked.insert(loop_items.begin(), loop_items.end());
+    } else {
+      smoked.insert(base);
+    }
+  }
+  return smoked;
+}
+
 std::set<std::string> flag_literals(const std::string& text) {
   std::set<std::string> flags;
   std::size_t pos = 0;
@@ -159,8 +246,37 @@ int run_benches_mode(const fs::path& bench_dir, int argc, char** argv,
                  bench_dir.string().c_str());
     return 2;
   }
-  std::printf("docs_check benches: %zu benches, %d undocumented\n", benches,
-              bad);
+
+  bool catalog_found = false;
+  const auto documented = documented_smoke(docs, catalog_found);
+  if (!catalog_found) {
+    std::fprintf(stderr,
+                 "docs_check: no bench catalog row with a smoke column "
+                 "(| `bench_x` | ... | yes/no |) in the given docs\n");
+    return 2;
+  }
+  const auto tested = cmake_smoke(read_file(bench_dir / "CMakeLists.txt"));
+  for (const auto& name : documented) {
+    if (!tested.contains(name)) {
+      std::fprintf(stderr,
+                   "SMOKE MISMATCH %s: the docs mark it smoke-tested but "
+                   "no %s_smoke test exists\n",
+                   name.c_str(), name.c_str());
+      ++bad;
+    }
+  }
+  for (const auto& name : tested) {
+    if (!documented.contains(name)) {
+      std::fprintf(stderr,
+                   "SMOKE MISMATCH %s: %s_smoke exists but the docs do not "
+                   "mark it smoke-tested\n",
+                   name.c_str(), name.c_str());
+      ++bad;
+    }
+  }
+  std::printf(
+      "docs_check benches: %zu benches, %zu smoke-tested, %d problem(s)\n",
+      benches, tested.size(), bad);
   return bad == 0 ? 0 : 1;
 }
 
