@@ -1,15 +1,20 @@
-// Experiment E11: production registrar backend -- sharded store vs the
-// single-map baseline vs P2P (Chord-lite) resolution.
+// Experiment E11: production registrar store -- the sharded store vs the
+// single-map reference model, and registrar vs P2P (Chord-lite)
+// resolution.
 //
-// Two parts:
+// Three parts:
 //
 //  A. Store kernel (wall clock): preload 1M bindings (50k under --quick)
-//     into each backend, then drive a mixed workload (90% lookup, 10%
-//     REGISTER refresh) and report registrations/sec, lookups/sec and
-//     p50/p99 lookup latency. A fourth row runs the sharded store's
-//     lock-free read path from 4 concurrent reader threads. The bench
-//     self-asserts that the sharded store beats the single map on both
-//     lookups/sec and p99 latency and exits non-zero otherwise.
+//     into the sharded store and into the std::map reference model
+//     (tests/reference/single_map_store.hpp, the seed's store), then drive
+//     a mixed workload (90% lookup, 10% REGISTER refresh) and report
+//     registrations/sec, lookups/sec and p50/p99 lookup latency. A third
+//     row runs the sharded store's lock-free read path from 4 concurrent
+//     reader threads. The bench self-asserts that the sharded store beats
+//     the single map on both lookups/sec and p99 latency and exits
+//     non-zero otherwise -- except under ThreadSanitizer, where
+//     instrumented wall time says nothing and the comparison is printed
+//     for information only.
 //
 //  B. Resolution path (virtual time): a MANET caller behind a gateway
 //     dials internet-side callees registered at the provider, once with
@@ -31,6 +36,7 @@
 #include "bench_table.hpp"
 #include "common/random.hpp"
 #include "net/internet.hpp"
+#include "reference/single_map_store.hpp"
 #include "scenario/scenario.hpp"
 #include "sip/p2p_resolver.hpp"
 #include "sip/registrar_store.hpp"
@@ -39,6 +45,20 @@
 using namespace siphoc;
 
 namespace {
+
+/// True in ThreadSanitizer builds (GCC defines __SANITIZE_THREAD__, Clang
+/// exposes __has_feature(thread_sanitizer)).
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kUnderTsan = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr bool kUnderTsan = true;
+#else
+constexpr bool kUnderTsan = false;
+#endif
+#else
+constexpr bool kUnderTsan = false;
+#endif
 
 // ---------------------------------------------------------------------------
 // Part A: store kernel
@@ -194,7 +214,6 @@ CallRow run_calls(scenario::Testbed::Resolution resolution,
   scenario::Testbed bed(options);
   scenario::Testbed::ProviderOptions po;
   po.resolution = resolution;
-  po.store_shards = 8;
   po.p2p_nodes = quick ? 3 : 6;
   auto& provider = bed.add_provider("voicehoc.ch", po);
   (void)provider;
@@ -364,7 +383,7 @@ int main(int argc, char** argv) {
   const unsigned sim_threads = args.sim_threads > 1 ? args.sim_threads : 2;
 
   bench::print_header(
-      "E11: registrar backends -- sharded store vs single map vs P2P",
+      "E11: registrar store -- sharded vs single-map reference vs P2P",
       "Part A preloads the stores and drives a 90/10 lookup/refresh mix\n"
       "(wall clock; latency per lookup). Part B measures call-setup delay\n"
       "in virtual ms with provider-side resolution on the sharded store\n"
@@ -413,11 +432,13 @@ int main(int argc, char** argv) {
   bool failed = false;
   if (sharded.lookups_per_s <= single.lookups_per_s ||
       sharded.p99_ns >= single.p99_ns) {
-    std::printf("\n!! sharded store does not beat the single map "
-                "(lookups/s %.0f vs %.0f, p99 %.0f vs %.0f ns)\n",
-                sharded.lookups_per_s, single.lookups_per_s, sharded.p99_ns,
-                single.p99_ns);
-    failed = true;
+    std::printf("\n%s sharded store does not beat the single map "
+                "(lookups/s %.0f vs %.0f, p99 %.0f vs %.0f ns)%s\n",
+                kUnderTsan ? "--" : "!!", sharded.lookups_per_s,
+                single.lookups_per_s, sharded.p99_ns, single.p99_ns,
+                kUnderTsan ? "; ThreadSanitizer build, wall time not checked"
+                           : "");
+    if (!kUnderTsan) failed = true;
   } else {
     std::printf("\nsharded beats single map: lookups/s %.1fx, p99 %.1fx\n",
                 sharded.lookups_per_s / single.lookups_per_s,
@@ -444,6 +465,7 @@ int main(int argc, char** argv) {
       {"registrar-sharded", scenario::Testbed::Resolution::kRegistrar},
       {"p2p-chord", scenario::Testbed::Resolution::kP2p},
   };
+  bool identical = true;
   for (const auto& mode : modes) {
     const CallRow at1 = run_calls(mode.resolution, 1, args.quick, seed);
     const CallRow atN = run_calls(mode.resolution, sim_threads, args.quick,
@@ -452,6 +474,7 @@ int main(int argc, char** argv) {
     if (!same_run(at1, atN)) {
       std::printf("!! %s diverged between --sim-threads 1 and %u -- "
                   "determinism bug\n", mode.label, sim_threads);
+      identical = false;
       failed = true;
     }
     add_call_row(mode.label, at1);
@@ -462,7 +485,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\nrows byte-identical across --sim-threads (1 vs %u): %s\n",
-              sim_threads, failed ? "NO" : "yes");
+              sim_threads, identical ? "yes" : "NO");
 
   std::printf("\nE12: live-ring churn -- lookup success and hops vs churn "
               "rate\n\n");

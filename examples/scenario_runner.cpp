@@ -47,12 +47,11 @@
 //                                                    results like seed does;
 //                                                    disables live tracing)
 //   gateway NODE                                  -- wired uplink on a node
-//   provider DOMAIN [p2p N | shards N]            -- Internet SIP provider;
+//   provider DOMAIN [p2p N]                       -- Internet SIP provider;
 //                                                    `p2p N` resolves through
 //                                                    a Chord-lite ring of N
-//                                                    extra nodes, `shards N`
-//                                                    uses the N-shard binding
-//                                                    store
+//                                                    extra nodes (any other
+//                                                    word is an error)
 //   phone NODE USER DOMAIN                        -- out-of-the-box phone
 //   settle SECONDS                                -- let protocols converge
 //   register USER                                 -- power on + REGISTER
@@ -262,14 +261,13 @@ struct Runner {
       scenario::Testbed::ProviderOptions opts;
       std::string backend;
       if (is >> backend) {
+        if (backend != "p2p") {
+          return fail("unknown provider backend '" + backend + "'");
+        }
         std::size_t n = 0;
         is >> n;
-        if (backend == "p2p") {
-          opts.resolution = scenario::Testbed::Resolution::kP2p;
-          if (n > 0) opts.p2p_nodes = n;
-        } else if (backend == "shards") {
-          opts.store_shards = n;
-        }
+        opts.resolution = scenario::Testbed::Resolution::kP2p;
+        if (n > 0) opts.p2p_nodes = n;
       }
       bed->add_provider(domain, opts);
     } else if (cmd == "phone") {

@@ -48,10 +48,8 @@ void Aodv::start() {
       handle_link_break(*neighbor);
     }
   });
-  if (config_.use_hello) {
-    hello_timer_.start(host_.sim(), config_.hello_interval,
-                       [this] { send_hello(); }, milliseconds(100));
-  }
+  hello_timer_.start(host_.sim(), config_.hello_interval,
+                     [this] { send_hello(); }, milliseconds(100));
   housekeeping_timer_.start(host_.sim(), milliseconds(500), [this] {
     table_.expire(now());
     check_neighbors();
@@ -489,7 +487,6 @@ void Aodv::on_neighbor_heard(net::Address neighbor) {
 }
 
 void Aodv::check_neighbors() {
-  if (!config_.use_hello) return;
   const Duration max_silence =
       config_.allowed_hello_loss * config_.hello_interval +
       milliseconds(300);

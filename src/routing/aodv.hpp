@@ -36,7 +36,6 @@ struct AodvConfig {
   int ttl_threshold = 7;
   std::size_t max_buffered_per_dst = 16;
   Duration rreq_id_cache_ttl = seconds(3);
-  bool use_hello = true;
 
   Duration net_traversal_time() const {
     return 2 * node_traversal_time * net_diameter;

@@ -280,7 +280,6 @@ sip::Registrar& Testbed::add_provider(const std::string& domain,
   sip::RegistrarConfig config;
   config.domain = domain;
   config.require_outbound_proxy = options.require_outbound_proxy;
-  config.store_shards = options.store_shards;
   if (options.require_outbound_proxy) {
     // The provider's own outbound proxy is a real box at an address DNS
     // does not reveal -- the polyphone.ethz.ch situation. Clients (or a

@@ -163,9 +163,6 @@ class Testbed {
 
   struct ProviderOptions {
     bool require_outbound_proxy = false;
-    /// Registrar binding backend: 0 = sequential single map, >= 1 =
-    /// ShardedBindingStore with that many shards.
-    std::size_t store_shards = 0;
     Resolution resolution = Resolution::kRegistrar;
     /// Ring nodes spawned *besides* the provider front door when
     /// `resolution == kP2p` (front door included, the ring has
@@ -180,7 +177,7 @@ class Testbed {
   /// polyphone.ethz.ch situation of paper §3.2.
   sip::Registrar& add_provider(const std::string& domain,
                                bool require_outbound_proxy = false);
-  /// Full-options form: store backend selection and P2P ring resolution
+  /// Full-options form: registrar store or P2P ring resolution
   /// (EXPERIMENTS.md E11 compares the two call-setup paths).
   sip::Registrar& add_provider(const std::string& domain,
                                const ProviderOptions& options);

@@ -52,8 +52,11 @@ P2pResolver::P2pResolver(net::Host& host, P2pConfig config)
   });
   // Replicated records expire like any binding; sweep them on a coarse
   // cadence (no jitter: determinism).
-  gc_.start(host_.sim(), seconds(5),
-            [this] { records_.purge_expired(host_.sim().now()); });
+  gc_.start(host_.sim(), seconds(5), [this] {
+    const TimePoint now = host_.sim().now();
+    std::erase_if(records_,
+                  [now](const auto& kv) { return kv.second.expires <= now; });
+  });
   // Stabilization: successor probing, failure repair, finger fixing. Zero
   // jitter for the same reason; a singleton view makes the tick a no-op.
   maintenance_.start(host_.sim(), config_.stabilize_interval,
@@ -142,9 +145,9 @@ void P2pResolver::leave() {
                                                  : successors_.front().endpoint;
   const TimePoint now = host_.sim().now();
   std::vector<std::pair<std::string, ContactBinding>> held;
-  records_.for_each([&](const std::string& aor, const ContactBinding& b) {
+  for (const auto& [aor, b] : records_) {
     if (b.expires > now) held.emplace_back(aor, b);
-  });
+  }
   for (const auto& [aor, binding] : held) {
     if (heir.address.is_unspecified()) break;
     send_line(heir, "PUT " + aor + " " +
@@ -240,9 +243,9 @@ void P2pResolver::sync_records() {
   // idempotent upserts, so convergence is safe to repeat.
   const TimePoint now = host_.sim().now();
   std::vector<std::pair<std::string, ContactBinding>> held;
-  records_.for_each([&](const std::string& aor, const ContactBinding& b) {
+  for (const auto& [aor, b] : records_) {
     if (b.expires > now) held.emplace_back(aor, b);
-  });
+  }
   for (const auto& [aor, binding] : held) {
     const std::string expires_contact =
         std::to_string(binding.expires.time_since_epoch().count()) + " " +
@@ -401,9 +404,18 @@ void P2pResolver::send_line(net::Endpoint dst, const std::string& line) {
 // Records
 // ---------------------------------------------------------------------------
 
+std::optional<ContactBinding> P2pResolver::stored(
+    const std::string& aor) const {
+  const auto it = records_.find(aor);
+  if (it == records_.end() || it->second.expires <= host_.sim().now()) {
+    return std::nullopt;
+  }
+  return it->second;
+}
+
 void P2pResolver::store_record(const std::string& aor, const Uri& contact,
                                TimePoint expires, bool replicate) {
-  records_.upsert(aor, contact, expires);
+  records_[aor] = ContactBinding{contact, expires};
   counter("p2p.records_stored_total").add();
   host_.sim().ctx().metrics()
       .gauge("p2p.records", host_.name(), "p2p")
@@ -456,7 +468,7 @@ void P2pResolver::resolve(const std::string& aor, ResolveCallback callback) {
   auto& metrics = host_.sim().ctx().metrics();
   if (responsible_for(key)) {
     // Zero-hop answer, still asynchronous so callers see one shape.
-    auto binding = records_.lookup(aor, host_.sim().now());
+    auto binding = stored(aor);
     metrics.histogram("p2p.lookup_hops", kHopBuckets, host_.name(), "p2p")
         .observe(0);
     if (!binding) counter("p2p.misses_total").add();
@@ -501,7 +513,7 @@ void P2pResolver::send_attempt(std::uint64_t request) {
   if (hop == nullptr) {
     // Every candidate tried. A replica we hold ourselves still counts as
     // an answer; otherwise the lookup is out of road.
-    auto binding = records_.lookup(pending.aor, host_.sim().now());
+    auto binding = stored(pending.aor);
     if (!binding) counter("p2p.retry_exhausted_total").add();
     finish(request, std::move(binding), pending.attempts);
     return;
@@ -617,7 +629,7 @@ void P2pResolver::handle_put(std::string_view verb, std::string_view rest) {
     return;
   }
   if (verb == "REP") {
-    records_.upsert(aor, *contact, expires);
+    records_[aor] = ContactBinding{*contact, expires};
     return;
   }
   const std::uint64_t key = hash_aor(aor);
@@ -649,7 +661,7 @@ void P2pResolver::handle_get(std::string_view rest) {
   // Any live holder answers -- replicas included. That is what lets a
   // lookup survive the owner's crash before stabilization promotes the
   // replica to owner.
-  const auto binding = records_.lookup(aor, host_.sim().now());
+  const auto binding = stored(aor);
   if (!binding && !responsible_for(key)) {
     if (hops >= config_.max_hops) {
       counter("p2p.ttl_drops_total").add();

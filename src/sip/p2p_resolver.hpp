@@ -106,11 +106,9 @@ class P2pResolver {
 
   /// Bindings this node is responsible for (replicas included).
   std::size_t stored_records() const { return records_.size(); }
-  /// The unexpired record this node holds for `aor`, if any (invariant
-  /// monitor / test introspection; no metrics side effects).
-  std::optional<ContactBinding> stored(const std::string& aor) const {
-    return records_.lookup(aor, host_.sim().now());
-  }
+  /// The unexpired record this node holds for `aor`, if any. No metrics
+  /// side effects, so the invariant monitor and tests read it too.
+  std::optional<ContactBinding> stored(const std::string& aor) const;
   /// Live members in this node's view (self included).
   std::size_t view_size() const { return view_.size(); }
   /// True while the view has been steady for a stabilization interval and
@@ -198,7 +196,9 @@ class P2pResolver {
   /// PINGs / JOINED broadcasts must not resurrect it) until it rejoins.
   bool left_ = false;
   TimePoint last_view_change_{};
-  SingleMapStore records_;            // keys this node is responsible for
+  /// Keys this node is responsible for (replicas included), in AOR order:
+  /// the handoff sweeps send PUT/REP lines in this order.
+  std::map<std::string, ContactBinding> records_;
   std::map<std::uint64_t, Pending> pending_;
   std::uint64_t next_request_ = 0;
   sim::PeriodicTimer gc_;

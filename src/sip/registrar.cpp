@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <vector>
 
 #include "common/md5.hpp"
@@ -13,27 +12,11 @@
 
 namespace siphoc::sip {
 
-namespace {
-
-/// Wall-clock store-lookup buckets, nanoseconds: a hash probe lands in the
-/// double digits, a map walk over millions in the thousands.
-constexpr double kLookupNsBuckets[] = {50,   100,   250,   500,   1000,
-                                       2500, 5000,  10000, 25000, 100000};
-
-}  // namespace
-
 Registrar::Registrar(net::Host& host, RegistrarConfig config)
     : host_(host),
       config_(std::move(config)),
       log_("registrar", config_.domain),
       transport_(host, config_.port) {
-  if (config_.store_shards > 0) {
-    ShardedBindingStore::Config sc;
-    sc.shards = config_.store_shards;
-    store_ = std::make_unique<ShardedBindingStore>(sc);
-  } else {
-    store_ = std::make_unique<SingleMapStore>();
-  }
   transport_.set_handler([this](Message m, net::Endpoint from) {
     on_message(std::move(m), from);
   });
@@ -93,36 +76,19 @@ void Registrar::maintenance_tick() {
       .set(static_cast<double>(issued_nonces_.size()));
 
   // One wheel turn: only the due expiry buckets are touched.
-  if (store_->purge_expired(now) > 0) {
+  if (store_.purge_expired(now) > 0) {
     host_.sim().ctx().metrics()
         .gauge("registrar.bindings", config_.domain, "registrar")
-        .set(static_cast<double>(store_->size()));
+        .set(static_cast<double>(store_.size()));
   }
-}
-
-std::optional<Registrar::Binding> Registrar::store_lookup(
-    const std::string& aor) const {
-  if (!config_.measure_lookup_wall) {
-    return store_->lookup(aor, host_.sim().now());
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = store_->lookup(aor, host_.sim().now());
-  const auto t1 = std::chrono::steady_clock::now();
-  host_.sim().ctx().metrics()
-      .histogram("registrar.lookup_ns", kLookupNsBuckets, config_.domain,
-                 "registrar")
-      .observe(static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-              .count()));
-  return result;
 }
 
 std::optional<Registrar::Binding> Registrar::binding(
     const std::string& aor) const {
-  return store_lookup(aor);
+  return store_.lookup(aor, host_.sim().now());
 }
 
-std::size_t Registrar::binding_count() const { return store_->size(); }
+std::size_t Registrar::binding_count() const { return store_.size(); }
 
 void Registrar::on_message(Message message, net::Endpoint from) {
   if (message.is_response()) {
@@ -231,11 +197,11 @@ void Registrar::handle_register(Message request, net::Endpoint from) {
     if (p2p_ != nullptr) {
       p2p_->unpublish(aor);
     } else {
-      store_->erase(aor);
+      store_.erase(aor);
     }
     host_.sim().ctx().metrics()
         .gauge("registrar.bindings", config_.domain, "registrar")
-        .set(static_cast<double>(store_->size()));
+        .set(static_cast<double>(store_.size()));
     log_.info("unregistered ", aor, wildcard ? " (wildcard)" : "");
   } else if (contact) {
     const TimePoint binding_expires = host_.sim().now() + seconds(expires);
@@ -244,12 +210,12 @@ void Registrar::handle_register(Message request, net::Endpoint from) {
       // by the same hash the sharded store uses.
       p2p_->publish(aor, contact->uri, binding_expires);
     } else {
-      store_->upsert(aor, contact->uri, binding_expires);
+      store_.upsert(aor, contact->uri, binding_expires);
     }
     counter("registrar.registers_accepted_total").add();
     host_.sim().ctx().metrics()
         .gauge("registrar.bindings", config_.domain, "registrar")
-        .set(static_cast<double>(store_->size()));
+        .set(static_cast<double>(store_.size()));
     log_.info("registered ", aor, " -> ", contact->uri.to_string(),
               " expires=", expires);
   } else {
@@ -312,7 +278,7 @@ void Registrar::forward_request(Message request, net::Endpoint from) {
     });
     return;
   }
-  forward_to_binding(std::move(request), from, store_lookup(aor));
+  forward_to_binding(std::move(request), from, binding(aor));
 }
 
 void Registrar::forward_to_binding(Message request, net::Endpoint from,

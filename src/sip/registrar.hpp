@@ -4,13 +4,12 @@
 // polyphone.ethz.ch): stores REGISTER bindings for its domain and forwards
 // requests addressed to its users to their registered contact.
 //
-// The binding storage is pluggable (sip/registrar_store.hpp): the seed's
-// single ordered map remains the default, `store_shards >= 1` switches to
-// the consistent-hash ShardedBindingStore (lock-free lookups, per-shard
-// expiry wheels) that bench_registrar sizes at a million bindings, and
-// set_p2p_resolver() replaces central storage entirely with a Chord-lite
-// ring among gateway nodes (sip/p2p_resolver.hpp) -- REGISTER publishes
-// into the ring, INVITE resolution hops through it.
+// Bindings live in the consistent-hash ShardedBindingStore
+// (sip/registrar_store.hpp: lock-free lookups, per-shard expiry wheels) at
+// its default 8 shards. set_p2p_resolver() replaces central storage
+// entirely with a Chord-lite ring among gateway nodes
+// (sip/p2p_resolver.hpp) -- REGISTER publishes into the ring, INVITE
+// resolution hops through it.
 //
 // The `require_outbound_proxy` switch reproduces the polyphone.ethz.ch
 // interoperability failure of paper section 3.2: such a provider only
@@ -23,7 +22,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
@@ -45,9 +43,6 @@ struct RegistrarConfig {
   /// unless it carries a valid Authorization for a known account.
   bool require_auth = false;
   std::map<std::string, std::string> credentials;  // username -> password
-  /// Binding backend: 0 keeps the sequential single-map store; >= 1 uses
-  /// the consistent-hash ShardedBindingStore with that many shards.
-  std::size_t store_shards = 0;
   /// Digest-nonce hygiene: issued nonces older than `nonce_lifetime` are
   /// purged by the maintenance timer, and the table never exceeds
   /// `nonce_cap` entries (oldest evicted first).
@@ -55,11 +50,6 @@ struct RegistrarConfig {
   std::size_t nonce_cap = 4096;
   /// Cadence of the maintenance tick (nonce purge + expiry-wheel turn).
   Duration maintenance_interval = seconds(1);
-  /// Sample wall-clock store-lookup latency into `registrar.lookup_ns`.
-  /// Off by default: wall time is nondeterministic, and identity-checked
-  /// sidecars must stay byte-equal across --sim-threads. bench_registrar
-  /// turns it on.
-  bool measure_lookup_wall = false;
 };
 
 class Registrar {
@@ -79,7 +69,6 @@ class Registrar {
   std::optional<Binding> binding(const std::string& aor) const;
   std::size_t binding_count() const;
   const RegistrarConfig& config() const { return config_; }
-  BindingStore& store() { return *store_; }
   /// Outstanding digest nonces (bounded; see nonce_cap).
   std::size_t nonce_count() const { return issued_nonces_.size(); }
 
@@ -107,13 +96,12 @@ class Registrar {
   void maintenance_tick();
   std::uint64_t read_counter(const char* name) const;
   Counter& counter(const char* name);
-  std::optional<Binding> store_lookup(const std::string& aor) const;
 
   net::Host& host_;
   RegistrarConfig config_;
   Logger log_;
   Transport transport_;
-  std::unique_ptr<BindingStore> store_;
+  ShardedBindingStore store_;
   P2pResolver* p2p_ = nullptr;
   std::map<std::string, TimePoint> issued_nonces_;
   std::uint64_t nonce_counter_ = 0;

@@ -6,45 +6,6 @@
 namespace siphoc::sip {
 
 // ---------------------------------------------------------------------------
-// SingleMapStore
-// ---------------------------------------------------------------------------
-
-void SingleMapStore::upsert(const std::string& aor, const Uri& contact,
-                            TimePoint expires) {
-  bindings_[aor] = ContactBinding{contact, expires};
-}
-
-bool SingleMapStore::erase(const std::string& aor) {
-  return bindings_.erase(aor) > 0;
-}
-
-std::optional<ContactBinding> SingleMapStore::lookup(const std::string& aor,
-                                                     TimePoint now) const {
-  const auto it = bindings_.find(aor);
-  if (it == bindings_.end() || it->second.expires <= now) return std::nullopt;
-  return it->second;
-}
-
-std::size_t SingleMapStore::purge_expired(TimePoint now) {
-  std::size_t purged = 0;
-  for (auto it = bindings_.begin(); it != bindings_.end();) {
-    if (it->second.expires <= now) {
-      it = bindings_.erase(it);
-      ++purged;
-    } else {
-      ++it;
-    }
-  }
-  return purged;
-}
-
-void SingleMapStore::for_each(
-    const std::function<void(const std::string&, const ContactBinding&)>& fn)
-    const {
-  for (const auto& [aor, binding] : bindings_) fn(aor, binding);
-}
-
-// ---------------------------------------------------------------------------
 // Hashing
 // ---------------------------------------------------------------------------
 
@@ -113,11 +74,7 @@ ShardedBindingStore::ShardedBindingStore()
 ShardedBindingStore::ShardedBindingStore(Config config)
     : config_(config) {
   config_.shards = std::max<std::size_t>(1, config_.shards);
-  config_.virtual_nodes = std::max<std::size_t>(1, config_.virtual_nodes);
   config_.wheel_slots = std::max<std::size_t>(2, config_.wheel_slots);
-  if (config_.wheel_granularity <= Duration::zero()) {
-    config_.wheel_granularity = seconds(1);
-  }
   const std::size_t capacity =
       round_up_pow2(std::max<std::size_t>(8, config_.initial_capacity));
   shards_.reserve(config_.shards);
@@ -130,11 +87,11 @@ ShardedBindingStore::ShardedBindingStore(Config config)
   wheel_cursor_.assign(config_.shards, 0);
   wheel_floor_.assign(config_.shards, TimePoint{});
 
-  // Consistent-hash ring: virtual_nodes points per shard, placed by mixing
+  // Consistent-hash ring: kVirtualNodes points per shard, placed by mixing
   // (shard, replica). Lookup walks clockwise to the next point.
-  ring_.reserve(config_.shards * config_.virtual_nodes);
+  ring_.reserve(config_.shards * kVirtualNodes);
   for (std::size_t s = 0; s < config_.shards; ++s) {
-    for (std::size_t v = 0; v < config_.virtual_nodes; ++v) {
+    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
       const std::uint64_t point =
           splitmix64((static_cast<std::uint64_t>(s) << 32) | v);
       ring_.emplace_back(point, static_cast<std::uint32_t>(s));
@@ -273,7 +230,7 @@ void ShardedBindingStore::grow(Shard& shard) {
 }
 
 std::size_t ShardedBindingStore::wheel_index(TimePoint expires) const {
-  const auto ticks = expires.time_since_epoch() / config_.wheel_granularity;
+  const auto ticks = expires.time_since_epoch() / kWheelGranularity;
   return static_cast<std::size_t>(ticks) % config_.wheel_slots;
 }
 
@@ -395,33 +352,15 @@ std::size_t ShardedBindingStore::purge_expired(TimePoint now) {
     // fully elapsed granules advance the cursor -- the granule containing
     // `now` is drained in place (items due mid-granule must not wait a
     // whole wheel lap) but stays current until it fully elapses.
-    while (wheel_floor_[s] + config_.wheel_granularity <= now) {
+    while (wheel_floor_[s] + kWheelGranularity <= now) {
       drain(shard.wheel[wheel_cursor_[s]]);
       wheel_cursor_[s] = (wheel_cursor_[s] + 1) % config_.wheel_slots;
-      wheel_floor_[s] += config_.wheel_granularity;
+      wheel_floor_[s] += kWheelGranularity;
     }
     if (wheel_floor_[s] <= now) drain(shard.wheel[wheel_cursor_[s]]);
     collect(shard);
   }
   return purged;
-}
-
-void ShardedBindingStore::for_each(
-    const std::function<void(const std::string&, const ContactBinding&)>& fn)
-    const {
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    // Writer-side walk under the shard lock: entries cannot be retired
-    // underneath us, and the visit order (shard, then slot) is stable for
-    // a given key population -- determinism for the handoff sweeps.
-    std::lock_guard<std::mutex> lock(shard.write_mutex);
-    const Table* table = shard.table.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < table->capacity(); ++i) {
-      const Entry* e = table->slots[i].load(std::memory_order_acquire);
-      if (e == nullptr || e == tombstone()) continue;
-      fn(e->aor, ContactBinding{e->contact, e->expires});
-    }
-  }
 }
 
 }  // namespace siphoc::sip

@@ -1,33 +1,30 @@
-// Registrar binding storage backends (docs/ARCHITECTURE.md, "Provider
-// backend").
+// Registrar binding storage (docs/ARCHITECTURE.md §4, "Provider side").
 //
 // The paper's providers were real servers (siphoc.ch, netvoip.ch,
 // polyphone.ethz.ch); the emulation grew them from a toy std::map into a
 // production-shaped engine so the Internet side can sustain millions of
-// bindings under a heavy INVITE mix (ROADMAP item 1). Two backends share
-// one interface:
-//
-//   * SingleMapStore -- the seed's std::map, kept as the sequential
-//     baseline bench_registrar compares against.
-//   * ShardedBindingStore -- consistent-hash over the AOR across N shards;
-//     each shard is an open-addressing table whose *read path is lock-free*
-//     (epoch-based reclamation, RCU-style immutable entries published with
-//     release stores), so the region-sharded kernel's worker threads -- or
-//     bench reader threads -- can resolve INVITEs while lane 0 registers.
-//     Expiry is a per-shard timer wheel: the maintenance tick touches only
-//     the due bucket instead of scanning every binding.
+// bindings under a heavy INVITE mix. ShardedBindingStore is that engine and
+// the one store every Registrar runs: consistent-hash over the AOR across N
+// shards; each shard is an open-addressing table whose *read path is
+// lock-free* (epoch-based reclamation, RCU-style immutable entries
+// published with release stores), so the region-sharded kernel's worker
+// threads -- or bench reader threads -- can resolve INVITEs while lane 0
+// registers. Expiry is a per-shard timer wheel: the maintenance tick
+// touches only the due bucket instead of scanning every binding.
 //
 // Writers serialize per shard on a mutex (simulation writes come from one
 // lane anyway); readers never block and never see a torn entry. Reclaim is
 // deferred until every pinned reader epoch has moved past the retire
 // epoch -- the classic EBR contract, small enough here to audit.
+//
+// The BindingStore interface stays abstract so a reference model (the
+// std::map in tests/reference/single_map_store.hpp) can stand in for the
+// real store in the store tests and bench_registrar's comparison row.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -66,37 +63,6 @@ class BindingStore {
   /// until the next purge_expired tick (the sharded store's wheel keeps
   /// that window to one maintenance interval).
   virtual std::size_t size() const = 0;
-  /// Backend label for logs/bench rows.
-  virtual std::string_view name() const = 0;
-  /// Visits every stored binding -- expired-but-unpurged entries included;
-  /// callers filter by expiry themselves. This is the replica-handoff
-  /// iteration the P2P ring needs when membership changes (a node must
-  /// re-home or re-replicate what it holds). The sharded backend holds
-  /// each shard's write lock while visiting it, so the callback must not
-  /// reenter the store.
-  virtual void for_each(
-      const std::function<void(const std::string& aor,
-                               const ContactBinding& binding)>& fn) const = 0;
-};
-
-/// The seed's backend: one ordered map, scans to expire. Correct, simple,
-/// single-threaded -- the baseline row of bench_registrar.
-class SingleMapStore final : public BindingStore {
- public:
-  void upsert(const std::string& aor, const Uri& contact,
-              TimePoint expires) override;
-  bool erase(const std::string& aor) override;
-  std::optional<ContactBinding> lookup(const std::string& aor,
-                                       TimePoint now) const override;
-  std::size_t purge_expired(TimePoint now) override;
-  std::size_t size() const override { return bindings_.size(); }
-  std::string_view name() const override { return "single-map"; }
-  void for_each(
-      const std::function<void(const std::string&, const ContactBinding&)>&
-          fn) const override;
-
- private:
-  std::map<std::string, ContactBinding> bindings_;
 };
 
 /// 64-bit string hash (FNV-1a finalized with a splitmix round): the one
@@ -108,16 +74,18 @@ class ShardedBindingStore final : public BindingStore {
  public:
   struct Config {
     std::size_t shards = 8;
-    /// Ring points per shard; more points -> smoother distribution.
-    std::size_t virtual_nodes = 32;
     /// Initial slots per shard (rounded up to a power of two).
     std::size_t initial_capacity = 64;
-    /// Timer-wheel geometry: `wheel_slots` buckets of `wheel_granularity`
-    /// each; bindings further out than the wheel horizon go to the last
-    /// bucket and are re-examined when it comes due.
-    Duration wheel_granularity = seconds(1);
+    /// Timer-wheel geometry: `wheel_slots` buckets of kWheelGranularity
+    /// each; bindings further out than the wheel horizon wrap around and
+    /// are re-examined each lap until they come due.
     std::size_t wheel_slots = 4096;
   };
+
+  /// Ring points per shard; more points -> smoother distribution.
+  static constexpr std::size_t kVirtualNodes = 32;
+  /// Width of one timer-wheel bucket.
+  static constexpr Duration kWheelGranularity = seconds(1);
 
   ShardedBindingStore();
   explicit ShardedBindingStore(Config config);
@@ -133,10 +101,6 @@ class ShardedBindingStore final : public BindingStore {
                                        TimePoint now) const override;
   std::size_t purge_expired(TimePoint now) override;
   std::size_t size() const override;
-  std::string_view name() const override { return "sharded"; }
-  void for_each(
-      const std::function<void(const std::string&, const ContactBinding&)>&
-          fn) const override;
 
   std::size_t shard_count() const { return shards_.size(); }
   /// Which shard owns `aor` on the consistent-hash ring (bench/test

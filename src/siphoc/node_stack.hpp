@@ -37,8 +37,6 @@ struct NodeStackConfig {
   ProxyConfig proxy;
   GatewayProviderConfig gateway;
   ConnectionProviderConfig connection;
-  bool run_gateway_provider = true;
-  bool run_connection_provider = true;
 };
 
 class NodeStack {
@@ -59,12 +57,11 @@ class NodeStack {
   routing::Protocol& routing() { return *routing_; }
   slp::ManetSlp& slp() { return *slp_; }
   SiphocProxy& proxy() { return *proxy_; }
-  GatewayProvider* gateway_provider() { return gateway_.get(); }
-  ConnectionProvider* connection_provider() { return connection_.get(); }
+  GatewayProvider& gateway_provider() { return *gateway_; }
+  ConnectionProvider& connection_provider() { return *connection_; }
 
   bool internet_available() const {
-    return connection_ ? connection_->internet_available()
-                       : host_.has_wired();
+    return connection_->internet_available();
   }
 
  private:

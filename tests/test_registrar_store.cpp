@@ -1,11 +1,15 @@
-// Tests: registrar binding-store backends (single-map baseline vs the
-// consistent-hash sharded store) and the registrar rework riding on them --
-// RFC 3261 §10.2.2 wildcard deregistration, the require_outbound_proxy 403
-// path, digest-nonce expiry (401 + stale=true) and the bounded nonce table.
+// Tests: the consistent-hash sharded binding store, checked against the
+// std::map reference model (reference/single_map_store.hpp) both by fixed
+// cases and by seeded random op sequences, and the registrar rework riding
+// on it -- RFC 3261 §10.2.2 wildcard deregistration, the
+// require_outbound_proxy 403 path, digest-nonce expiry (401 + stale=true)
+// and the bounded nonce table.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "common/random.hpp"
+#include "reference/single_map_store.hpp"
 #include "sip/auth.hpp"
 #include "sip/p2p_resolver.hpp"
 #include "sip/registrar.hpp"
@@ -22,7 +26,7 @@ Uri contact_uri(std::uint32_t octet, const std::string& user) {
 TimePoint at(int s) { return TimePoint{} + seconds(s); }
 
 // ---------------------------------------------------------------------------
-// Store backends
+// Store and reference model: the same fixed cases on both
 // ---------------------------------------------------------------------------
 
 template <typename Store>
@@ -83,6 +87,65 @@ TYPED_TEST(BindingStoreTest, RefreshOutlivesOriginalExpiry) {
   // invalidated, not trusted).
   EXPECT_EQ(store.purge_expired(at(50)), 0u);
   EXPECT_TRUE(store.lookup("a@x", at(50)));
+}
+
+// ---------------------------------------------------------------------------
+// Sharded store vs reference model: seeded random op sequences
+// ---------------------------------------------------------------------------
+
+std::string describe(const std::optional<ContactBinding>& b) {
+  if (!b) return "none";
+  return b->contact.to_string() + " until " + format_time(b->expires);
+}
+
+/// Drives the sharded store and the std::map model with the same random
+/// upsert / erase / lookup / purge sequence while virtual time advances.
+/// Tiny tables and a 6-slot wheel make table growth, tombstone reuse and
+/// wheel wrap-around happen many times per seed; expiries reach up to 20
+/// wheel horizons out and land mid-granule, and refreshes may shorten or
+/// lengthen a binding. Every lookup, every purge count and the size after
+/// every purge must agree.
+TEST(ShardedStoreModelTest, RandomOpsMatchReferenceModel) {
+  constexpr int kOpsPerSeed = 20000;
+  constexpr std::uint32_t kKeys = 300;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    ShardedBindingStore::Config config;
+    config.shards = 3;
+    config.initial_capacity = 8;
+    config.wheel_slots = 6;
+    ShardedBindingStore store(config);
+    SingleMapStore model;
+    Rng rng(seed);
+    TimePoint now{};
+    for (int op = 0; op < kOpsPerSeed; ++op) {
+      const std::string aor =
+          "user" + std::to_string(rng.uniform_int(0, kKeys - 1)) + "@x";
+      const std::string where =
+          "seed " + std::to_string(seed) + " op " + std::to_string(op);
+      const std::uint32_t roll = rng.uniform_int(0, 99);
+      if (roll < 35) {
+        // Expiry from `now` itself up to 120 s out, at ms resolution.
+        const TimePoint expires =
+            now + milliseconds(rng.uniform_int(0, 120'000));
+        const Uri contact =
+            contact_uri(1 + rng.uniform_int(0, 199), "u");
+        store.upsert(aor, contact, expires);
+        model.upsert(aor, contact, expires);
+      } else if (roll < 45) {
+        ASSERT_EQ(store.erase(aor), model.erase(aor)) << where;
+      } else if (roll < 85) {
+        ASSERT_EQ(describe(store.lookup(aor, now)),
+                  describe(model.lookup(aor, now)))
+            << where << " lookup " << aor;
+      } else if (roll < 95) {
+        now += milliseconds(rng.uniform_int(0, 3000));
+      } else {
+        ASSERT_EQ(store.purge_expired(now), model.purge_expired(now))
+            << where << " purge at " << format_time(now);
+        ASSERT_EQ(store.size(), model.size()) << where << " size after purge";
+      }
+    }
+  }
 }
 
 TEST(ShardedStoreTest, SurvivesGrowthWellPastInitialCapacity) {
@@ -377,10 +440,7 @@ TEST_F(RegistrarFixture, NonceTableStaysBoundedUnderChurn) {
 }
 
 TEST_F(RegistrarFixture, ShardedBackendServesRegistersAndInvites) {
-  RegistrarConfig config;
-  config.store_shards = 4;
-  start_registrar(config);
-  EXPECT_EQ(registrar_->store().name(), "sharded");
+  start_registrar({});
 
   send_and_wait(make_register("alice", 3600));
   ASSERT_EQ(last_status(), 200);
@@ -397,9 +457,7 @@ TEST_F(RegistrarFixture, ShardedBackendServesRegistersAndInvites) {
 }
 
 TEST_F(RegistrarFixture, ShardedExpiryIsWheelDrivenNotLookupDriven) {
-  RegistrarConfig config;
-  config.store_shards = 2;
-  start_registrar(config);
+  start_registrar({});
 
   send_and_wait(make_register("alice", 2));
   ASSERT_EQ(last_status(), 200);
