@@ -9,12 +9,12 @@
 //     (tests/reference/single_map_store.hpp, the seed's store), then drive
 //     a mixed workload (90% lookup, 10% REGISTER refresh) and report
 //     registrations/sec, lookups/sec and p50/p99 lookup latency. A third
-//     row runs the sharded store's lock-free read path from 4 concurrent
-//     reader threads. The bench self-asserts that the sharded store beats
-//     the single map on both lookups/sec and p99 latency and exits
-//     non-zero otherwise -- except under ThreadSanitizer, where
-//     instrumented wall time says nothing and the comparison is printed
-//     for information only.
+//     row runs the sharded store's lookups from 4 concurrent reader
+//     threads, which share each shard's reader-writer lock. The bench
+//     self-asserts that the sharded store beats the single map on both
+//     lookups/sec and p99 latency and exits non-zero otherwise -- except
+//     under ThreadSanitizer, where instrumented wall time says nothing
+//     and the comparison is printed for information only.
 //
 //  B. Resolution path (virtual time): a MANET caller behind a gateway
 //     dials internet-side callees registered at the provider, once with
@@ -150,7 +150,7 @@ StoreRow run_store(sip::BindingStore& store, const std::string& label,
   return row;
 }
 
-/// The lock-free read path under real concurrency: 4 reader threads over a
+/// The shared-lock read path under real concurrency: 4 reader threads over a
 /// preloaded sharded store, aggregate lookups/sec (latency percentiles come
 /// from the single-thread row; here the axis is scaling).
 StoreRow run_sharded_parallel(sip::ShardedBindingStore& store,

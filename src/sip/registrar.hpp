@@ -4,9 +4,9 @@
 // polyphone.ethz.ch): stores REGISTER bindings for its domain and forwards
 // requests addressed to its users to their registered contact.
 //
-// Bindings live in the consistent-hash ShardedBindingStore
-// (sip/registrar_store.hpp: lock-free lookups, per-shard expiry wheels) at
-// its default 8 shards. set_p2p_resolver() replaces central storage
+// Bindings live in the ShardedBindingStore (sip/registrar_store.hpp:
+// hash-placed shards, each behind a reader-writer lock with its own expiry
+// wheel) at its default 8 shards. set_p2p_resolver() replaces central storage
 // entirely with a Chord-lite ring among gateway nodes
 // (sip/p2p_resolver.hpp) -- REGISTER publishes into the ring, INVITE
 // resolution hops through it.

@@ -1,7 +1,7 @@
 #include "sip/registrar_store.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <mutex>
 
 namespace siphoc::sip {
 
@@ -39,34 +39,8 @@ std::uint64_t hash_aor(std::string_view aor) {
 // ShardedBindingStore
 // ---------------------------------------------------------------------------
 
-namespace {
-/// Monotonic identity for reader-slot caching: survives a store being
-/// destroyed and another allocated at the same address.
-std::atomic<std::uint64_t> g_store_ids{1};
-}  // namespace
-
-class ShardedBindingStore::ReadGuard {
- public:
-  ReadGuard(const ShardedBindingStore& store, ReaderSlot& slot) : slot_(slot) {
-    // Pin-and-verify loop: publish the epoch we read, then re-read. Once
-    // the two agree the writer's collector is guaranteed to observe the
-    // pin before freeing anything retired in that epoch.
-    std::uint64_t e = store.global_epoch_.load(std::memory_order_seq_cst);
-    for (;;) {
-      slot_.epoch.store(e, std::memory_order_seq_cst);
-      const std::uint64_t e2 =
-          store.global_epoch_.load(std::memory_order_seq_cst);
-      if (e2 == e) break;
-      e = e2;
-    }
-  }
-  ~ReadGuard() { slot_.epoch.store(kIdleEpoch, std::memory_order_release); }
-  ReadGuard(const ReadGuard&) = delete;
-  ReadGuard& operator=(const ReadGuard&) = delete;
-
- private:
-  ReaderSlot& slot_;
-};
+using ReadLock = std::shared_lock<std::shared_mutex>;
+using WriteLock = std::lock_guard<std::shared_mutex>;
 
 ShardedBindingStore::ShardedBindingStore()
     : ShardedBindingStore(Config{}) {}
@@ -80,57 +54,24 @@ ShardedBindingStore::ShardedBindingStore(Config config)
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     auto shard = std::make_unique<Shard>();
-    shard->table.store(new Table(capacity), std::memory_order_release);
+    shard->slots.assign(capacity, nullptr);
     shard->wheel.resize(config_.wheel_slots);
     shards_.push_back(std::move(shard));
   }
-  wheel_cursor_.assign(config_.shards, 0);
-  wheel_floor_.assign(config_.shards, TimePoint{});
-
-  // Consistent-hash ring: kVirtualNodes points per shard, placed by mixing
-  // (shard, replica). Lookup walks clockwise to the next point.
-  ring_.reserve(config_.shards * kVirtualNodes);
-  for (std::size_t s = 0; s < config_.shards; ++s) {
-    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
-      const std::uint64_t point =
-          splitmix64((static_cast<std::uint64_t>(s) << 32) | v);
-      ring_.emplace_back(point, static_cast<std::uint32_t>(s));
-    }
-  }
-  std::sort(ring_.begin(), ring_.end());
-  store_id_ = g_store_ids.fetch_add(1, std::memory_order_relaxed);
 }
 
 ShardedBindingStore::~ShardedBindingStore() {
   for (auto& shard : shards_) {
-    Table* table = shard->table.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < table->capacity(); ++i) {
-      Entry* e = table->slots[i].load(std::memory_order_relaxed);
+    for (Entry* e : shard->slots) {
       if (e != nullptr && e != tombstone()) delete e;
     }
-    delete table;
-    for (auto& [epoch, entry] : shard->retired_entries) delete entry;
-    for (auto& [epoch, t] : shard->retired_tables) delete t;
   }
-}
-
-std::size_t ShardedBindingStore::reader_slot_index() const {
-  thread_local std::vector<std::pair<std::uint64_t, std::size_t>> cache;
-  for (const auto& [id, idx] : cache) {
-    if (id == store_id_) return idx;
-  }
-  const std::size_t idx =
-      reader_count_.fetch_add(1, std::memory_order_relaxed);
-  cache.emplace_back(store_id_, idx);
-  return idx;
 }
 
 std::size_t ShardedBindingStore::shard_for_hash(std::uint64_t hash) const {
-  auto it = std::upper_bound(
-      ring_.begin(), ring_.end(), hash,
-      [](std::uint64_t h, const auto& point) { return h < point.first; });
-  if (it == ring_.end()) it = ring_.begin();
-  return it->second;
+  // High bits pick the shard; the low bits index the slot array, so the
+  // two choices stay independent.
+  return static_cast<std::size_t>(((hash >> 32) * shards_.size()) >> 32);
 }
 
 std::size_t ShardedBindingStore::shard_of(std::string_view aor) const {
@@ -138,150 +79,95 @@ std::size_t ShardedBindingStore::shard_of(std::string_view aor) const {
 }
 
 std::size_t ShardedBindingStore::shard_size(std::size_t shard) const {
-  return shards_.at(shard)->size.load(std::memory_order_relaxed);
+  const Shard& s = *shards_.at(shard);
+  ReadLock lock(s.mutex);
+  return s.size;
 }
 
 std::size_t ShardedBindingStore::size() const {
   std::size_t n = 0;
   for (const auto& shard : shards_) {
-    n += shard->size.load(std::memory_order_relaxed);
+    ReadLock lock(shard->mutex);
+    n += shard->size;
   }
   return n;
 }
 
-std::uint64_t ShardedBindingStore::min_pinned_epoch() const {
-  std::uint64_t min_epoch = kIdleEpoch;
-  const std::size_t active = std::min<std::size_t>(
-      reader_count_.load(std::memory_order_relaxed), kMaxReaders);
-  for (std::size_t i = 0; i < active; ++i) {
-    const std::uint64_t e = readers_[i].epoch.load(std::memory_order_seq_cst);
-    min_epoch = std::min(min_epoch, e);
-  }
-  return min_epoch;
-}
-
-void ShardedBindingStore::retire_entry(Shard& shard, Entry* entry) {
-  shard.retired_entries.emplace_back(
-      global_epoch_.load(std::memory_order_relaxed), entry);
-}
-
-void ShardedBindingStore::retire_table(Shard& shard, Table* table) {
-  shard.retired_tables.emplace_back(
-      global_epoch_.load(std::memory_order_relaxed), table);
-}
-
-void ShardedBindingStore::collect(Shard& shard) {
-  global_epoch_.fetch_add(1, std::memory_order_seq_cst);
-  if (shard.retired_entries.empty() && shard.retired_tables.empty()) return;
-  const std::uint64_t safe = min_pinned_epoch();  // free strictly below this
-  auto sweep = [safe](auto& retired, auto deleter) {
-    std::size_t kept = 0;
-    for (auto& item : retired) {
-      if (item.first < safe) {
-        deleter(item.second);
-      } else {
-        retired[kept++] = item;
-      }
-    }
-    retired.resize(kept);
-  };
-  sweep(shard.retired_entries, [](Entry* e) { delete e; });
-  sweep(shard.retired_tables, [](Table* t) { delete t; });
-}
-
 ShardedBindingStore::Entry* ShardedBindingStore::find_entry(
-    const Table& table, std::uint64_t hash, std::string_view aor,
-    std::size_t* slot_out) const {
-  std::size_t idx = hash & table.mask;
-  std::size_t first_free = table.capacity();  // first tombstone on the path
+    const Shard& shard, std::uint64_t hash, std::string_view aor,
+    std::size_t* slot_out) {
+  const std::size_t mask = shard.slots.size() - 1;
+  const std::size_t none = shard.slots.size();
+  std::size_t idx = hash & mask;
+  std::size_t first_free = none;  // first tombstone on the path
   for (;;) {
-    Entry* e = table.slots[idx].load(std::memory_order_acquire);
+    Entry* e = shard.slots[idx];
     if (e == nullptr) {
-      *slot_out = first_free != table.capacity() ? first_free : idx;
+      *slot_out = first_free != none ? first_free : idx;
       return nullptr;
     }
     if (e == tombstone()) {
-      if (first_free == table.capacity()) first_free = idx;
+      if (first_free == none) first_free = idx;
     } else if (e->hash == hash && e->aor == aor) {
       *slot_out = idx;
       return e;
     }
-    idx = (idx + 1) & table.mask;
+    idx = (idx + 1) & mask;
   }
 }
 
 void ShardedBindingStore::grow(Shard& shard) {
-  Table* old_table = shard.table.load(std::memory_order_acquire);
-  Table* new_table = new Table(old_table->capacity() * 2);
+  std::vector<Entry*> slots(shard.slots.size() * 2, nullptr);
+  const std::size_t mask = slots.size() - 1;
   std::size_t live = 0;
-  for (std::size_t i = 0; i < old_table->capacity(); ++i) {
-    Entry* e = old_table->slots[i].load(std::memory_order_relaxed);
+  for (Entry* e : shard.slots) {
     if (e == nullptr || e == tombstone()) continue;
-    std::size_t idx = e->hash & new_table->mask;
-    while (new_table->slots[idx].load(std::memory_order_relaxed) != nullptr) {
-      idx = (idx + 1) & new_table->mask;
-    }
-    new_table->slots[idx].store(e, std::memory_order_relaxed);
+    std::size_t idx = e->hash & mask;
+    while (slots[idx] != nullptr) idx = (idx + 1) & mask;
+    slots[idx] = e;
     ++live;
   }
+  shard.slots.swap(slots);
   shard.used = live;  // tombstones do not survive the rehash
-  shard.table.store(new_table, std::memory_order_release);
-  retire_table(shard, old_table);
 }
 
 std::size_t ShardedBindingStore::wheel_index(TimePoint expires) const {
-  const auto ticks = expires.time_since_epoch() / kWheelGranularity;
+  const auto ticks = (expires - TimePoint{}) / kWheelGranularity;
   return static_cast<std::size_t>(ticks) % config_.wheel_slots;
-}
-
-void ShardedBindingStore::file_in_wheel(Shard& shard, std::uint64_t hash,
-                                        const std::string& aor,
-                                        TimePoint expires) {
-  shard.wheel[wheel_index(expires)].push_back(WheelItem{hash, aor, expires});
 }
 
 void ShardedBindingStore::upsert(const std::string& aor, const Uri& contact,
                                  TimePoint expires) {
   const std::uint64_t hash = hash_aor(aor);
   Shard& shard = *shards_[shard_for_hash(hash)];
-  std::lock_guard<std::mutex> lock(shard.write_mutex);
+  WriteLock lock(shard.mutex);
 
-  Table* table = shard.table.load(std::memory_order_acquire);
-  if ((shard.used + 1) * 10 > table->capacity() * 7) {
-    grow(shard);
-    table = shard.table.load(std::memory_order_acquire);
-  }
+  if ((shard.used + 1) * 10 > shard.slots.size() * 7) grow(shard);
 
-  auto* entry = new Entry{hash, aor, contact, expires};
   std::size_t slot = 0;
-  Entry* existing = find_entry(*table, hash, aor, &slot);
-  if (existing != nullptr) {
-    table->slots[slot].store(entry, std::memory_order_release);
-    retire_entry(shard, existing);
+  if (Entry* existing = find_entry(shard, hash, aor, &slot)) {
+    existing->contact = contact;
+    existing->expires = expires;
   } else {
-    if (table->slots[slot].load(std::memory_order_relaxed) == nullptr) {
-      ++shard.used;
-    }
-    table->slots[slot].store(entry, std::memory_order_release);
-    shard.size.fetch_add(1, std::memory_order_relaxed);
+    auto* entry = new Entry{hash, aor, contact, expires};
+    if (shard.slots[slot] == nullptr) ++shard.used;
+    shard.slots[slot] = entry;
+    ++shard.size;
   }
-  file_in_wheel(shard, hash, aor, expires);
-  collect(shard);
+  shard.wheel[wheel_index(expires)].push_back(WheelItem{hash, aor, expires});
 }
 
 bool ShardedBindingStore::erase(const std::string& aor) {
   const std::uint64_t hash = hash_aor(aor);
   Shard& shard = *shards_[shard_for_hash(hash)];
-  std::lock_guard<std::mutex> lock(shard.write_mutex);
+  WriteLock lock(shard.mutex);
 
-  Table* table = shard.table.load(std::memory_order_acquire);
   std::size_t slot = 0;
-  Entry* existing = find_entry(*table, hash, aor, &slot);
+  Entry* existing = find_entry(shard, hash, aor, &slot);
   if (existing == nullptr) return false;
-  table->slots[slot].store(tombstone(), std::memory_order_release);
-  shard.size.fetch_sub(1, std::memory_order_relaxed);
-  retire_entry(shard, existing);
-  collect(shard);
+  shard.slots[slot] = tombstone();
+  --shard.size;
+  delete existing;
   return true;
 }
 
@@ -289,39 +175,19 @@ std::optional<ContactBinding> ShardedBindingStore::lookup(
     const std::string& aor, TimePoint now) const {
   const std::uint64_t hash = hash_aor(aor);
   const Shard& shard = *shards_[shard_for_hash(hash)];
+  ReadLock lock(shard.mutex);
 
-  const std::size_t reader = reader_slot_index();
-  if (reader >= kMaxReaders) {
-    // Reader population exceeded the slot array: stay correct by joining
-    // the writer lock instead of pinning an epoch.
-    std::lock_guard<std::mutex> lock(shard.write_mutex);
-    std::size_t slot = 0;
-    const Entry* e =
-        find_entry(*shard.table.load(std::memory_order_acquire), hash, aor,
-                   &slot);
-    if (e == nullptr || e->expires <= now) return std::nullopt;
-    return ContactBinding{e->contact, e->expires};
-  }
-
-  ReadGuard guard(*this, readers_[reader]);
-  const Table* table = shard.table.load(std::memory_order_acquire);
-  std::size_t idx = hash & table->mask;
-  for (;;) {
-    const Entry* e = table->slots[idx].load(std::memory_order_acquire);
-    if (e == nullptr) return std::nullopt;
-    if (e != tombstone() && e->hash == hash && e->aor == aor) {
-      if (e->expires <= now) return std::nullopt;
-      return ContactBinding{e->contact, e->expires};  // copied while pinned
-    }
-    idx = (idx + 1) & table->mask;
-  }
+  std::size_t slot = 0;
+  const Entry* e = find_entry(shard, hash, aor, &slot);
+  if (e == nullptr || e->expires <= now) return std::nullopt;
+  return ContactBinding{e->contact, e->expires};
 }
 
 std::size_t ShardedBindingStore::purge_expired(TimePoint now) {
   std::size_t purged = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.write_mutex);
+  for (auto& shard_ptr : shards_) {
+    Shard& shard = *shard_ptr;
+    WriteLock lock(shard.mutex);
     const auto drain = [&](std::vector<WheelItem>& bucket) {
       std::size_t kept = 0;
       for (std::size_t i = 0; i < bucket.size(); ++i) {
@@ -333,15 +199,14 @@ std::size_t ShardedBindingStore::purge_expired(TimePoint now) {
           ++kept;
           continue;
         }
-        Table* table = shard.table.load(std::memory_order_acquire);
         std::size_t slot = 0;
-        Entry* e = find_entry(*table, item.hash, item.aor, &slot);
+        Entry* e = find_entry(shard, item.hash, item.aor, &slot);
         // Refreshed entries carry a newer expiry than the wheel item that
         // pointed at them; only still-stale entries die.
         if (e != nullptr && e->expires <= now) {
-          table->slots[slot].store(tombstone(), std::memory_order_release);
-          shard.size.fetch_sub(1, std::memory_order_relaxed);
-          retire_entry(shard, e);
+          shard.slots[slot] = tombstone();
+          --shard.size;
+          delete e;
           ++purged;
         }
       }
@@ -352,13 +217,12 @@ std::size_t ShardedBindingStore::purge_expired(TimePoint now) {
     // fully elapsed granules advance the cursor -- the granule containing
     // `now` is drained in place (items due mid-granule must not wait a
     // whole wheel lap) but stays current until it fully elapses.
-    while (wheel_floor_[s] + kWheelGranularity <= now) {
-      drain(shard.wheel[wheel_cursor_[s]]);
-      wheel_cursor_[s] = (wheel_cursor_[s] + 1) % config_.wheel_slots;
-      wheel_floor_[s] += kWheelGranularity;
+    while (shard.wheel_floor + kWheelGranularity <= now) {
+      drain(shard.wheel[shard.wheel_cursor]);
+      shard.wheel_cursor = (shard.wheel_cursor + 1) % config_.wheel_slots;
+      shard.wheel_floor += kWheelGranularity;
     }
-    if (wheel_floor_[s] <= now) drain(shard.wheel[wheel_cursor_[s]]);
-    collect(shard);
+    if (shard.wheel_floor <= now) drain(shard.wheel[shard.wheel_cursor]);
   }
   return purged;
 }

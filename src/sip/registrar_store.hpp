@@ -4,30 +4,24 @@
 // polyphone.ethz.ch); the emulation grew them from a toy std::map into a
 // production-shaped engine so the Internet side can sustain millions of
 // bindings under a heavy INVITE mix. ShardedBindingStore is that engine and
-// the one store every Registrar runs: consistent-hash over the AOR across N
-// shards; each shard is an open-addressing table whose *read path is
-// lock-free* (epoch-based reclamation, RCU-style immutable entries
-// published with release stores), so the region-sharded kernel's worker
-// threads -- or bench reader threads -- can resolve INVITEs while lane 0
-// registers. Expiry is a per-shard timer wheel: the maintenance tick
+// the one store every Registrar runs: the high bits of the AOR hash pick
+// one of N shards; each shard is an open-addressing table guarded by its
+// own reader-writer lock. Lookups and size queries share the lock, so
+// concurrent readers (the bench's reader threads, the repository
+// benchmark's client threads) wait only for a writer on the same shard;
+// upsert, erase, purge and growth take it exclusively and free replaced
+// memory at once. Expiry is a per-shard timer wheel: the maintenance tick
 // touches only the due bucket instead of scanning every binding.
-//
-// Writers serialize per shard on a mutex (simulation writes come from one
-// lane anyway); readers never block and never see a torn entry. Reclaim is
-// deferred until every pinned reader epoch has moved past the retire
-// epoch -- the classic EBR contract, small enough here to audit.
 //
 // The BindingStore interface stays abstract so a reference model (the
 // std::map in tests/reference/single_map_store.hpp) can stand in for the
 // real store in the store tests and bench_registrar's comparison row.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,8 +60,9 @@ class BindingStore {
 };
 
 /// 64-bit string hash (FNV-1a finalized with a splitmix round): the one
-/// hash both the shard ring and the P2P resolver's Chord-lite ring key on,
-/// so a gateway and a provider agree on AOR placement by construction.
+/// hash both the store's shard placement and the P2P resolver's Chord-lite
+/// ring key on, so a gateway and a provider agree on AOR placement by
+/// construction.
 std::uint64_t hash_aor(std::string_view aor);
 
 class ShardedBindingStore final : public BindingStore {
@@ -82,8 +77,6 @@ class ShardedBindingStore final : public BindingStore {
     std::size_t wheel_slots = 4096;
   };
 
-  /// Ring points per shard; more points -> smoother distribution.
-  static constexpr std::size_t kVirtualNodes = 32;
   /// Width of one timer-wheel bucket.
   static constexpr Duration kWheelGranularity = seconds(1);
 
@@ -103,17 +96,13 @@ class ShardedBindingStore final : public BindingStore {
   std::size_t size() const override;
 
   std::size_t shard_count() const { return shards_.size(); }
-  /// Which shard owns `aor` on the consistent-hash ring (bench/test
-  /// introspection; also the distribution check's probe).
+  /// Which shard owns `aor` (bench/test introspection; also the
+  /// distribution check's probe).
   std::size_t shard_of(std::string_view aor) const;
   /// Bindings stored in one shard.
   std::size_t shard_size(std::size_t shard) const;
 
  private:
-  static constexpr std::uint64_t kIdleEpoch = ~0ull;
-  static constexpr std::size_t kMaxReaders = 256;
-
-  /// Immutable once published; replaced wholesale on refresh.
   struct Entry {
     std::uint64_t hash = 0;
     std::string aor;
@@ -126,17 +115,6 @@ class ShardedBindingStore final : public BindingStore {
     return &t;
   }
 
-  /// Open-addressing slot array. Slots hold published Entry pointers;
-  /// capacity is a power of two, linear probing.
-  struct Table {
-    explicit Table(std::size_t capacity)
-        : mask(capacity - 1),
-          slots(std::make_unique<std::atomic<Entry*>[]>(capacity)) {}
-    std::size_t mask;
-    std::unique_ptr<std::atomic<Entry*>[]> slots;
-    std::size_t capacity() const { return mask + 1; }
-  };
-
   struct WheelItem {
     std::uint64_t hash;
     std::string aor;
@@ -144,51 +122,28 @@ class ShardedBindingStore final : public BindingStore {
   };
 
   struct Shard {
-    mutable std::mutex write_mutex;
-    std::atomic<Table*> table{nullptr};
-    std::size_t used = 0;             // occupied + tombstoned slots
-    std::atomic<std::size_t> size{0};  // live entries
+    /// Shared for lookups and size queries, exclusive for every mutation.
+    mutable std::shared_mutex mutex;
+    /// Open addressing, linear probing; the size is a power of two.
+    std::vector<Entry*> slots;
+    std::size_t used = 0;  // occupied + tombstoned slots
+    std::size_t size = 0;  // live entries
     std::vector<std::vector<WheelItem>> wheel;
-    // Deferred reclamation, guarded by write_mutex.
-    std::vector<std::pair<std::uint64_t, Entry*>> retired_entries;
-    std::vector<std::pair<std::uint64_t, Table*>> retired_tables;
+    std::size_t wheel_cursor = 0;  // next due bucket
+    TimePoint wheel_floor{};       // time the cursor sits at
   };
 
-  struct alignas(64) ReaderSlot {
-    std::atomic<std::uint64_t> epoch{kIdleEpoch};
-  };
-
-  /// Pins the calling thread's reader slot to the current epoch for the
-  /// duration of a lookup; unpin on destruction. Threads beyond
-  /// kMaxReaders fall back to taking the shard's write mutex (correct,
-  /// just not lock-free).
-  class ReadGuard;
-
-  std::size_t reader_slot_index() const;
   std::size_t shard_for_hash(std::uint64_t hash) const;
-  void retire_entry(Shard& shard, Entry* entry);
-  void retire_table(Shard& shard, Table* table);
-  /// Frees retired garbage every pinned reader has moved past.
-  void collect(Shard& shard);
-  std::uint64_t min_pinned_epoch() const;
-  void grow(Shard& shard);
-  /// Writer-side probe: the slot index holding `aor`, or the first
-  /// insertable slot (empty or tombstone). Requires write_mutex.
-  Entry* find_entry(const Table& table, std::uint64_t hash,
-                    std::string_view aor, std::size_t* slot_out) const;
+  static void grow(Shard& shard);
+  /// The entry for `aor`, or null. `*slot_out` gets its slot, or else the
+  /// first insertable one (empty or tombstone). Requires the shard's lock,
+  /// shared or exclusive.
+  static Entry* find_entry(const Shard& shard, std::uint64_t hash,
+                           std::string_view aor, std::size_t* slot_out);
   std::size_t wheel_index(TimePoint expires) const;
-  void file_in_wheel(Shard& shard, std::uint64_t hash, const std::string& aor,
-                     TimePoint expires);
 
   Config config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> ring_;  // point -> shard
-  std::vector<std::size_t> wheel_cursor_;  // per shard: next due bucket
-  std::vector<TimePoint> wheel_floor_;     // per shard: time cursor sits at
-  std::atomic<std::uint64_t> global_epoch_{1};
-  std::uint64_t store_id_ = 0;  // reader-slot cache key, process-unique
-  mutable std::atomic<std::uint32_t> reader_count_{0};
-  mutable std::array<ReaderSlot, kMaxReaders> readers_;
 };
 
 }  // namespace siphoc::sip

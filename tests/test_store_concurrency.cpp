@@ -1,13 +1,18 @@
-// Tests: the sharded binding store's lock-free read path under real
-// concurrency. Lives in the tsan-labeled binary so `ctest --preset tsan`
-// races writer mutations, epoch reclamation and table growth against
+// Tests: the sharded binding store under real concurrency. Each shard's
+// reader-writer lock lets lookups share a shard while upserts, erases,
+// purges and table growth take it alone. Lives in the tsan-labeled binary
+// so `ctest --preset tsan` races writers, purges and growth against
 // readers under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/random.hpp"
+#include "reference/single_map_store.hpp"
 #include "sip/registrar_store.hpp"
 
 namespace siphoc::sip {
@@ -20,12 +25,17 @@ Uri contact_of(int version) {
       {net::Address(192, 0, 2, 1 + (version % 200)), 5060}, "u");
 }
 
+std::string describe(const std::optional<ContactBinding>& b) {
+  if (!b) return "none";
+  return b->contact.to_string() + " until " + format_time(b->expires);
+}
+
 /// One writer churns bindings (upsert/refresh/erase/purge, forcing table
-/// growth and entry retirement) while several readers hammer lookups.
-/// Torn reads, use-after-free of retired entries, or races on the table
-/// pointer all show up here -- under tsan as reports, without it as
-/// crashes or the invariant checks below firing.
-TEST(ShardedStoreConcurrency, ReadersNeverBlockAndNeverSeeTornEntries) {
+/// growth and in-place refreshes) while several readers hammer lookups.
+/// Torn reads, use-after-free of erased entries, or races on the slot
+/// array all show up here -- under tsan as reports, without it as crashes
+/// or the invariant checks below firing.
+TEST(ShardedStoreConcurrency, ReadersNeverSeeTornEntries) {
   ShardedBindingStore::Config config;
   config.shards = 4;
   config.initial_capacity = 8;  // guarantee growth while readers run
@@ -52,9 +62,10 @@ TEST(ShardedStoreConcurrency, ReadersNeverBlockAndNeverSeeTornEntries) {
         ++local_reads;
         if (found) {
           ++local_hits;
-          // The entry is immutable: whatever version we caught must be
-          // internally consistent (contact written by *some* upsert of
-          // this key, never a half-written mix).
+          // The copy is taken under the shard's shared lock: whatever
+          // version we caught must be internally consistent (contact
+          // written by *some* upsert of this key, never a half-written
+          // mix).
           EXPECT_EQ(found->contact.user, "u");
           EXPECT_FALSE(found->contact.host.empty());
           EXPECT_GT(found->expires, at(1));
@@ -95,8 +106,95 @@ TEST(ShardedStoreConcurrency, ReadersNeverBlockAndNeverSeeTornEntries) {
   }
 }
 
-/// Concurrent readers over many distinct stores: the thread-local reader
-/// slot cache must keep per-store indices apart.
+/// The store against the reference model with several writers at once.
+/// Three owner threads each drive the AORs with `i % 3 == t` through a
+/// seeded upsert / erase / lookup sequence and check every answer against
+/// their own SingleMapStore: no other thread writes those keys, so the
+/// answers must be exact. Every expiry lies past the purge times, so the
+/// fourth thread's purge_expired passes must find nothing to drop while
+/// they walk (and, with an 8-slot wheel, re-file) the owners' wheel items;
+/// its lookups of foreign keys may race any write and only check that what
+/// they read is well-formed.
+TEST(ShardedStoreConcurrency, OwnedKeysMatchReferenceModelUnderPurges) {
+  ShardedBindingStore::Config config;
+  config.shards = 4;
+  config.initial_capacity = 8;  // growth happens under contention
+  config.wheel_slots = 8;
+  ShardedBindingStore store(config);
+
+  constexpr int kOwners = 3;
+  constexpr std::uint32_t kKeys = 600;
+  constexpr int kOpsPerOwner = 20000;
+  constexpr int kLastPurge = 99;  // every expiry is at(100) or later
+  const auto key = [](std::uint32_t i) {
+    return "user" + std::to_string(i) + "@x";
+  };
+
+  std::vector<SingleMapStore> models(kOwners);
+  std::atomic<int> owners_done{0};
+  std::vector<std::thread> threads;
+  // A failed ASSERT returns from `drive` early; the owner still counts as
+  // done so the purging thread stops.
+  const auto drive = [&](int t) {
+    SingleMapStore& model = models[t];
+    Rng rng(static_cast<std::uint64_t>(t) + 1);
+    for (int op = 0; op < kOpsPerOwner; ++op) {
+      const std::uint32_t i =
+          rng.uniform_int(0, kKeys / kOwners - 1) * kOwners + t;
+      const std::uint32_t roll = rng.uniform_int(0, 99);
+      if (roll < 40) {
+        const TimePoint expires =
+            at(kLastPurge + 1) + milliseconds(rng.uniform_int(0, 60'000));
+        const Uri contact = contact_of(static_cast<int>(roll));
+        store.upsert(key(i), contact, expires);
+        model.upsert(key(i), contact, expires);
+      } else if (roll < 55) {
+        ASSERT_EQ(store.erase(key(i)), model.erase(key(i)))
+            << "owner " << t << " op " << op;
+      } else {
+        ASSERT_EQ(describe(store.lookup(key(i), at(kLastPurge))),
+                  describe(model.lookup(key(i), at(kLastPurge))))
+            << "owner " << t << " op " << op << " lookup " << key(i);
+      }
+    }
+  };
+  for (int t = 0; t < kOwners; ++t) {
+    threads.emplace_back([&, t] {
+      drive(t);
+      owners_done.fetch_add(1);
+    });
+  }
+  threads.emplace_back([&] {
+    Rng rng(99);
+    int second = 0;
+    while (owners_done.load() < kOwners) {
+      EXPECT_EQ(store.purge_expired(at(second)), 0u) << "at " << second;
+      second = std::min(second + 1, kLastPurge);
+      for (int n = 0; n < 50; ++n) {
+        const auto found =
+            store.lookup(key(rng.uniform_int(0, kKeys - 1)), at(kLastPurge));
+        if (!found) continue;
+        EXPECT_EQ(found->contact.user, "u");
+        EXPECT_EQ(found->contact.host.rfind("192.0.2.", 0), 0u);
+        EXPECT_GT(found->expires, at(kLastPurge));
+      }
+    }
+  });
+  for (auto& th : threads) th.join();
+
+  std::size_t expected = 0;
+  for (const auto& model : models) expected += model.size();
+  EXPECT_EQ(store.size(), expected);
+  for (std::uint32_t i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(describe(store.lookup(key(i), at(kLastPurge))),
+              describe(models[i % kOwners].lookup(key(i), at(kLastPurge))))
+        << key(i);
+  }
+}
+
+/// Concurrent readers over two stores at once: each store's shard locks
+/// and tables must stay its own, so every lookup sees only its own
+/// store's bindings.
 TEST(ShardedStoreConcurrency, ReaderSlotsIsolatedAcrossStores) {
   ShardedBindingStore a, b;
   a.upsert("x@a", contact_of(1), at(100));
