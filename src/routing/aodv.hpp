@@ -142,8 +142,7 @@ class Aodv final : public Protocol {
   Metrics metrics_;
 
   // HELLO wire-image cache: beacons re-encode only when an input (seqno,
-  // lifetime, piggyback block) changed since the last one. Mirrors the
-  // input-snapshot early-out OLSR's route calculation uses.
+  // lifetime, piggyback block) changed since the last one.
   Bytes hello_wire_;
   Bytes hello_wire_ext_;
   std::uint32_t hello_wire_seqno_ = 0;

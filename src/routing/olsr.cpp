@@ -1,7 +1,6 @@
 #include "routing/olsr.hpp"
 
 #include <algorithm>
-#include <queue>
 
 namespace siphoc::routing {
 
@@ -49,12 +48,13 @@ void Olsr::stop() {
   route_calc_.cancel();
   route_calc_pending_ = false;
   host_.unbind(net::kOlsrPort);
-  for (const auto& [dst, entry] : installed_routes_) host_.remove_route(dst, 32);
-  installed_routes_.clear();
-  // Forget the input snapshot: the empty FIB now corresponds to empty
-  // inputs, so a restart must not early-out of its first recalculation.
-  route_sym_last_.clear();
-  route_edges_last_.clear();
+  for (const auto& [dst, id] : ids_by_address_) {
+    if (installed_routes_[id].distance != 0) host_.remove_route(dst, 32);
+  }
+  std::fill(installed_routes_.begin(), installed_routes_.end(), OlsrHop{});
+  // The empty FIB no longer matches the inputs: a restart must not
+  // early-out of its first recalculation.
+  routes_dirty_ = true;
   host_.add_route({net::kManetPrefix, net::kManetPrefixLen, std::nullopt,
                    net::Interface::kRadio, /*metric=*/100});
 }
@@ -74,7 +74,26 @@ std::set<net::Address> Olsr::symmetric_neighbors() const {
 }
 
 bool Olsr::has_route(net::Address dst) const {
-  return installed_routes_.contains(dst);
+  const auto it = find_id(dst);
+  return it != ids_by_address_.end() && it->first == dst &&
+         installed_routes_[it->second].distance != 0;
+}
+
+Olsr::IdIndex::const_iterator Olsr::find_id(net::Address a) const {
+  return std::lower_bound(
+      ids_by_address_.begin(), ids_by_address_.end(), a,
+      [](const auto& entry, net::Address x) { return entry.first < x; });
+}
+
+OlsrNodeId Olsr::intern(net::Address a) {
+  const auto it = find_id(a);
+  if (it != ids_by_address_.end() && it->first == a) return it->second;
+  const auto id = static_cast<OlsrNodeId>(addresses_.size());
+  ids_by_address_.insert(it, {a, id});
+  addresses_.push_back(a);
+  topology_head_.push_back(kNoSlot);
+  installed_routes_.emplace_back();
+  return id;
 }
 
 // --------------------------------------------------------------------------
@@ -186,10 +205,12 @@ void Olsr::on_packet(const net::Datagram& d, const net::RxInfo&) {
     // copy that arrives from an MPR selector (RFC 3626 §3.4.1). The two
     // differ when the first copy comes from a non-selector: an MPR must
     // still relay the selector's later copy, or the flood has a hole.
-    const auto [dup, first] = duplicates_.try_emplace(
-        std::make_pair(m.originator, m.msg_seq),
-        Duplicate{now() + seconds(30), false});
+    const std::uint64_t key =
+        (std::uint64_t{m.originator.value()} << 16) | m.msg_seq;
+    const auto [dup, first] =
+        duplicates_.try_emplace(key, Duplicate{now() + seconds(30), false});
     if (first) {
+      duplicate_order_.push_back(key);
       process_tc(m);
       if (handler_ != nullptr) {
         handler_->on_incoming(
@@ -204,7 +225,9 @@ void Olsr::on_packet(const net::Datagram& d, const net::RxInfo&) {
 }
 
 void Olsr::process_hello(const Message& m, net::Address from) {
-  auto& link = links_[from];
+  const auto [link_it, new_link] = links_.try_emplace(from);
+  auto& link = link_it->second;
+  if (new_link) link.id = intern(from);
   link.last_heard = now();
 
   // Symmetry check: do they list us in any group?
@@ -218,7 +241,10 @@ void Olsr::process_hello(const Message& m, net::Address from) {
       }
     }
   }
-  if (lists_us) link.sym_until = now() + config_.neighbor_hold;
+  if (lists_us) {
+    if (link.sym_until <= now()) routes_dirty_ = true;  // turns symmetric
+    link.sym_until = now() + config_.neighbor_hold;
+  }
   link.is_mpr_of_us = selects_us_mpr;
   if (selects_us_mpr) {
     selectors_.insert(from);
@@ -244,26 +270,70 @@ void Olsr::process_tc(const Message& m) {
   // RFC 9.5: keep only the newest advertisement set per originator.
   // Refresh surviving edges in place first, then drop the stale-ANSN
   // remainder: a periodic TC that re-advertises the same neighbor set
-  // then leaves topology_ untouched (same entries, same positions), which
-  // is what lets calculate_routes() early-out on its input snapshot.
-  for (const auto& dest : m.tc.advertised) {
-    const auto it = std::find_if(
-        topology_.begin(), topology_.end(), [&](const TopologyEdge& e) {
-          return e.last_hop == m.originator && e.dest == dest;
-        });
-    if (it != topology_.end()) {
-      it->ansn = m.tc.ansn;
-      it->expires = now() + config_.topology_hold;
+  // leaves the routing inputs untouched (same edges, same scan order), so
+  // it does not mark routes dirty. Only the originator's own chain is
+  // walked.
+  const TimePoint t = now();
+  const TimePoint expires = t + config_.topology_hold;
+  const OlsrNodeId origin = intern(m.originator);
+  for (const auto& dest_address : m.tc.advertised) {
+    const OlsrNodeId dest = intern(dest_address);
+    std::uint32_t slot = topology_head_[origin];
+    while (slot != kNoSlot && topology_[slot].dest != dest) {
+      slot = topology_[slot].next;
+    }
+    if (slot != kNoSlot) {
+      TopologyEdge& e = topology_[slot];
+      if (e.expires <= t) routes_dirty_ = true;  // revives an expired edge
+      e.ansn = m.tc.ansn;
+      e.expires = expires;
     } else {
-      topology_.push_back(
-          {m.originator, dest, m.tc.ansn, now() + config_.topology_hold});
+      topology_.push_back({origin, dest, topology_head_[origin], m.tc.ansn,
+                           false, expires});
+      topology_head_[origin] = static_cast<std::uint32_t>(topology_.size() - 1);
+      topology_min_expiry_ = std::min(topology_min_expiry_, expires);
+      routes_dirty_ = true;
     }
   }
-  std::erase_if(topology_, [&](const TopologyEdge& e) {
-    return e.last_hop == m.originator &&
-           static_cast<std::int16_t>(m.tc.ansn - e.ansn) > 0;
-  });
+  for (std::uint32_t* link = &topology_head_[origin]; *link != kNoSlot;) {
+    TopologyEdge& e = topology_[*link];
+    if (static_cast<std::int16_t>(m.tc.ansn - e.ansn) > 0) {
+      if (e.expires > t) routes_dirty_ = true;
+      e.erased = true;
+      *link = e.next;
+      ++topology_tombstones_;
+    } else {
+      link = &e.next;
+    }
+  }
+  if (topology_tombstones_ * 2 > topology_.size()) {
+    compact_topology(TimePoint::min());
+  }
   schedule_route_calc();
+}
+
+std::size_t Olsr::compact_topology(TimePoint cutoff) {
+  std::size_t expired = 0;
+  std::size_t kept = 0;
+  TimePoint min_expiry = TimePoint::max();
+  for (const TopologyEdge& e : topology_) {
+    if (e.erased) continue;
+    if (e.expires <= cutoff) {
+      ++expired;
+      continue;
+    }
+    min_expiry = std::min(min_expiry, e.expires);
+    topology_[kept++] = e;
+  }
+  topology_.resize(kept);
+  topology_tombstones_ = 0;
+  topology_min_expiry_ = min_expiry;
+  std::fill(topology_head_.begin(), topology_head_.end(), kNoSlot);
+  for (std::uint32_t i = 0; i < kept; ++i) {
+    topology_[i].next = topology_head_[topology_[i].last_hop];
+    topology_head_[topology_[i].last_hop] = i;
+  }
+  return expired;
 }
 
 bool Olsr::maybe_forward(const Message& m, net::Address prev_hop) {
@@ -355,87 +425,102 @@ void Olsr::schedule_route_calc() {
   });
 }
 
-void Olsr::calculate_routes() {
-  if (!running_) return;
-  struct Hop {
-    net::Address next_hop;
-    int distance = 0;
-  };
-  // Snapshot the routing inputs: the symmetric neighbor set (sorted, which
-  // is also the BFS seed order) and the live topology edges in scan order.
-  // Routes are a pure function of these, so when the snapshot matches the
-  // previous run the BFS below would reproduce installed_routes_
-  // bit-for-bit -- skip it. That is by far the common case: every HELLO
-  // and TC debounces into a recalc, but a converged network's periodic
-  // refreshes leave the inputs untouched.
-  const TimePoint t = now();
-  route_sym_scratch_.clear();
-  for (const auto& [addr, link] : links_) {
-    if (link.sym_until > t) route_sym_scratch_.push_back(addr);
-  }
-  std::sort(route_sym_scratch_.begin(), route_sym_scratch_.end());
-  route_edges_scratch_.clear();
-  for (const auto& e : topology_) {
-    if (e.expires <= t) continue;
-    route_edges_scratch_.push_back(e.last_hop);
-    route_edges_scratch_.push_back(e.dest);
-  }
-  if (route_sym_scratch_ == route_sym_last_ &&
-      route_edges_scratch_ == route_edges_last_) {
-    return;
-  }
-  route_sym_last_ = route_sym_scratch_;
-  route_edges_last_ = route_edges_scratch_;
+void compute_olsr_routes(OlsrNodeId self, std::span<const OlsrNodeId> seeds,
+                         std::span<const OlsrEdge> edges,
+                         std::size_t node_count, std::vector<OlsrHop>& out) {
+  // Per-call buffers are per thread, not per daemon: hundreds of daemons
+  // share one worker thread, and a copy each would cost memory for nothing.
+  thread_local std::vector<std::uint32_t> offsets;
+  thread_local std::vector<OlsrNodeId> adjacency;
+  thread_local std::vector<OlsrNodeId> frontier;
 
-  // Adjacency from TC edges (last_hop -> dest) in both directions: links
-  // are bidirectional once symmetric. Indexed up front so the BFS is
-  // O(V + E) instead of rescanning the whole topology set per visited
-  // node; per-node neighbor lists keep topology_ scan order so
-  // equal-distance tie-breaks pick the same next hop a linear scan would.
-  std::unordered_map<net::Address, std::vector<net::Address>> adjacency;
-  adjacency.reserve(route_edges_scratch_.size());
-  for (std::size_t i = 0; i + 1 < route_edges_scratch_.size(); i += 2) {
-    adjacency[route_edges_scratch_[i]].push_back(route_edges_scratch_[i + 1]);
-    adjacency[route_edges_scratch_[i + 1]].push_back(route_edges_scratch_[i]);
+  // CSR adjacency, both directions (links are bidirectional once
+  // symmetric), each node's list in edge scan order.
+  offsets.assign(node_count + 1, 0);
+  for (const OlsrEdge& e : edges) {
+    ++offsets[e.last_hop + 1];
+    ++offsets[e.dest + 1];
   }
+  for (std::size_t i = 1; i <= node_count; ++i) offsets[i] += offsets[i - 1];
+  adjacency.resize(2 * edges.size());
+  for (const OlsrEdge& e : edges) {
+    adjacency[offsets[e.last_hop]++] = e.dest;
+    adjacency[offsets[e.dest]++] = e.last_hop;
+  }
+  // The fill advanced each offset to its list's end: shift back by one.
+  for (std::size_t i = node_count; i > 0; --i) offsets[i] = offsets[i - 1];
+  offsets[0] = 0;
 
-  std::unordered_map<net::Address, Hop> reach;
-  std::queue<net::Address> frontier;
-  for (const auto& n : route_sym_scratch_) {
-    reach[n] = {n, 1};
-    frontier.push(n);
+  out.assign(node_count, OlsrHop{});
+  frontier.clear();
+  for (const OlsrNodeId n : seeds) {
+    out[n] = {n, 1};
+    frontier.push_back(n);
   }
-  while (!frontier.empty()) {
-    const net::Address u = frontier.front();
-    frontier.pop();
-    const Hop hop = reach.at(u);
-    const auto adj = adjacency.find(u);
-    if (adj == adjacency.end()) continue;
-    for (const net::Address v : adj->second) {
-      if (v == self() || reach.contains(v)) continue;
-      reach[v] = {hop.next_hop, hop.distance + 1};
-      frontier.push(v);
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const OlsrNodeId u = frontier[head];
+    const OlsrHop hop = out[u];
+    for (std::uint32_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+      const OlsrNodeId v = adjacency[i];
+      if (v == self || out[v].distance != 0) continue;
+      out[v] = {hop.next_hop, hop.distance + 1};
+      frontier.push_back(v);
     }
   }
+}
 
-  std::map<net::Address, std::pair<net::Address, int>> routes;
-  for (const auto& [dst, hop] : reach) {
-    routes.emplace(dst, std::make_pair(hop.next_hop, hop.distance));
-  }
+void Olsr::calculate_routes() {
+  if (!running_) return;
+  // Routes are a pure function of the symmetric neighbor set and the live
+  // topology edges in scan order. Unless one of those changed (dirty) or
+  // lapsed by time since the last full run, the BFS would reproduce
+  // installed_routes_ bit-for-bit -- skip it. That is by far the common
+  // case: every HELLO and TC debounces into a recalc, but a converged
+  // network's periodic refreshes leave the inputs untouched.
+  const TimePoint t = now();
+  if (!routes_dirty_ && t < routes_next_expiry_) return;
+  routes_dirty_ = false;
 
-  // Mirror into the host FIB: touch only routes whose next hop or metric
-  // actually changed, drop vanished ones. Steady state (converged
-  // network, periodic TCs) then costs zero FIB writes.
-  for (const auto& [dst, entry] : routes) {
-    const auto it = installed_routes_.find(dst);
-    if (it != installed_routes_.end() && it->second == entry) continue;
-    host_.add_route(
-        {dst, 32, entry.first, net::Interface::kRadio, entry.second});
+  thread_local std::vector<std::pair<net::Address, OlsrNodeId>> sym;
+  thread_local std::vector<OlsrNodeId> seeds;
+  thread_local std::vector<OlsrEdge> edges;
+  thread_local std::vector<OlsrHop> routes;
+  TimePoint next_expiry = TimePoint::max();
+  sym.clear();
+  for (const auto& [addr, link] : links_) {
+    if (link.sym_until <= t) continue;
+    sym.emplace_back(addr, link.id);
+    next_expiry = std::min(next_expiry, link.sym_until);
   }
-  for (const auto& [dst, entry] : installed_routes_) {
-    if (!routes.contains(dst)) host_.remove_route(dst, 32);
+  std::sort(sym.begin(), sym.end());  // BFS seeds in address order
+  seeds.clear();
+  for (const auto& entry : sym) seeds.push_back(entry.second);
+  edges.clear();
+  for (const TopologyEdge& e : topology_) {
+    if (e.erased || e.expires <= t) continue;
+    edges.push_back({e.last_hop, e.dest});
+    next_expiry = std::min(next_expiry, e.expires);
   }
-  installed_routes_ = std::move(routes);
+  routes_next_expiry_ = next_expiry;
+
+  const OlsrNodeId self_id = intern(self());
+  compute_olsr_routes(self_id, seeds, edges, addresses_.size(), routes);
+
+  // Mirror into the host FIB in ascending address order: touch only
+  // routes whose next hop or metric actually changed, then drop vanished
+  // ones. A recalculation with unchanged routes costs zero FIB writes.
+  for (const auto& [dst, id] : ids_by_address_) {
+    const OlsrHop& hop = routes[id];
+    if (hop.distance == 0 || hop == installed_routes_[id]) continue;
+    host_.add_route({dst, 32, addresses_[hop.next_hop], net::Interface::kRadio,
+                     hop.distance});
+  }
+  for (const auto& [dst, id] : ids_by_address_) {
+    if (installed_routes_[id].distance != 0 && routes[id].distance == 0) {
+      host_.remove_route(dst, 32);
+    }
+  }
+  std::copy(routes.begin(), routes.end(), installed_routes_.begin());
 }
 
 void Olsr::expire_state() {
@@ -451,12 +536,15 @@ void Olsr::expire_state() {
       ++it;
     }
   }
-  const auto before = topology_.size();
-  std::erase_if(topology_,
-                [&](const TopologyEdge& e) { return e.expires <= t; });
-  changed = changed || topology_.size() != before;
-  std::erase_if(duplicates_,
-                [&](const auto& kv) { return kv.second.expires <= t; });
+  // Nothing in the topology set can have expired before its earliest
+  // expiry; only then is the sweep worth its O(E) pass.
+  if (t >= topology_min_expiry_ && compact_topology(t) > 0) changed = true;
+  while (!duplicate_order_.empty()) {
+    const auto dup = duplicates_.find(duplicate_order_.front());
+    if (dup->second.expires > t) break;
+    duplicates_.erase(dup);
+    duplicate_order_.pop_front();
+  }
   if (changed) {
     select_mprs();
     schedule_route_calc();

@@ -3,8 +3,21 @@
 // Implements link sensing with symmetry confirmation via HELLO, two-hop
 // neighborhood tracking, greedy MPR selection, TC origination by nodes with
 // MPR selectors, MPR-based default forwarding with duplicate suppression,
-// a topology set with validity times, and hop-count shortest-path (Dijkstra)
+// a topology set with validity times, and hop-count shortest-path (BFS)
 // route computation mirrored into the host FIB.
+//
+// Routing state lives on dense per-daemon node ids (OlsrNodeId): every
+// address the daemon hears of gets the next id, never reused. The topology
+// set is one flat vector in insertion order -- the scan order the BFS
+// adjacency is built in, so equal-distance next-hop ties fall the same way
+// whatever happens to the storage -- with erased edges left as tombstones
+// until the next compaction, and a per-originator chain through it so a TC
+// touches only its originator's edges. Route recalculation is gated in
+// O(1): a dirty bit (an edge inserted, erased while live or revived; a link
+// turned symmetric; stop()) plus the earliest expiry among the inputs of
+// the last full run, so an input that lapses by time alone is still seen.
+// The BFS itself (compute_olsr_routes) is a pure function over ids whose
+// per-call buffers are thread_local, not per daemon.
 //
 // SIPHoc integration: the RoutingHandler seam fires for every originated
 // HELLO and TC, and for every *first* reception of a message carrying an
@@ -12,9 +25,12 @@
 // the advertisement to every node -- the proactive piggyback channel).
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <deque>
 #include <set>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "net/host.hpp"
 #include "routing/olsr_codec.hpp"
@@ -29,6 +45,36 @@ struct OlsrConfig {
   Duration topology_hold = seconds(15);
   Duration route_recalc_delay = milliseconds(20);
 };
+
+/// Dense node id inside one OLSR daemon's routing state.
+using OlsrNodeId = std::uint32_t;
+
+/// One topology edge as route computation sees it: TC originator
+/// (`last_hop`) and one neighbor it advertised (`dest`).
+struct OlsrEdge {
+  OlsrNodeId last_hop = 0;
+  OlsrNodeId dest = 0;
+};
+
+/// Route to one node: next hop and hop count. `distance` 0 = unreachable.
+struct OlsrHop {
+  OlsrNodeId next_hop = 0;
+  int distance = 0;
+
+  friend bool operator==(const OlsrHop&, const OlsrHop&) = default;
+};
+
+/// Hop-count shortest paths from `self` (BFS, i.e. Dijkstra with unit
+/// weights). `seeds` are the symmetric one-hop neighbors in the order they
+/// are queued (the daemon passes ascending address order); `edges` are the
+/// live topology edges in scan order, each usable in both directions. On
+/// return `out[v]` (sized `node_count`; every id must be below it) is the
+/// route to v. Equal-distance ties go to whichever path the BFS queues
+/// first: the earlier seed, then the earlier edge. Never routes through or
+/// to `self` unless it is a seed.
+void compute_olsr_routes(OlsrNodeId self, std::span<const OlsrNodeId> seeds,
+                         std::span<const OlsrEdge> edges,
+                         std::size_t node_count, std::vector<OlsrHop>& out);
 
 class Olsr final : public Protocol {
  public:
@@ -58,21 +104,28 @@ class Olsr final : public Protocol {
   bool has_route(net::Address dst) const;
 
  private:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
   struct LinkInfo {
     TimePoint last_heard{};
     TimePoint sym_until{};  // symmetric while now < sym_until
     bool is_mpr_of_us = false;
+    OlsrNodeId id = 0;
   };
-  /// Duplicate-set entry (RFC 3626 §3.4): a TC seen from `originator` with
-  /// `msg_seq`, and whether this node has relayed it yet.
+  /// Duplicate-set entry (RFC 3626 §3.4): a TC seen from one originator
+  /// with one msg_seq (the key packs both), and whether this node has
+  /// relayed it yet. Entries expire in insertion order, so a FIFO of keys
+  /// drives expiry instead of a scan.
   struct Duplicate {
     TimePoint expires{};
     bool forwarded = false;
   };
   struct TopologyEdge {
-    net::Address last_hop;  // TC originator
-    net::Address dest;      // advertised neighbor
+    OlsrNodeId last_hop = 0;  // TC originator
+    OlsrNodeId dest = 0;      // advertised neighbor
+    std::uint32_t next = kNoSlot;  // next live edge of the same originator
     std::uint16_t ansn = 0;
+    bool erased = false;  // tombstone until the next compaction
     TimePoint expires{};
   };
 
@@ -101,6 +154,17 @@ class Olsr final : public Protocol {
   void calculate_routes();
   void expire_state();
 
+  using IdIndex = std::vector<std::pair<net::Address, OlsrNodeId>>;
+
+  /// Where `a` sits in ids_by_address_, or would be inserted.
+  IdIndex::const_iterator find_id(net::Address a) const;
+  /// The dense id of `a`, assigning the next one on first sight.
+  OlsrNodeId intern(net::Address a);
+  /// Drops tombstones and every edge with `expires <= cutoff`, keeping
+  /// the survivors' order, and rebuilds the per-originator chains.
+  /// Returns how many live (not tombstoned) edges it dropped.
+  std::size_t compact_topology(TimePoint cutoff);
+
   bool is_symmetric(net::Address n) const {
     const auto it = links_.find(n);
     return it != links_.end() && it->second.sym_until > now();
@@ -121,20 +185,27 @@ class Olsr final : public Protocol {
   std::unordered_map<net::Address, std::set<net::Address>> two_hop_;
   std::set<net::Address> mprs_;       // we relay through these
   std::set<net::Address> selectors_;  // these relay through us
-  std::vector<TopologyEdge> topology_;
-  std::map<std::pair<net::Address, std::uint16_t>, Duplicate> duplicates_;
+  std::unordered_map<std::uint64_t, Duplicate> duplicates_;
+  std::deque<std::uint64_t> duplicate_order_;  // keys, oldest first
 
-  // dst -> (next_hop, metric) currently mirrored into the host FIB; lets
-  // route recalculation skip FIB writes for unchanged entries.
-  std::map<net::Address, std::pair<net::Address, int>> installed_routes_;
-  // Input snapshot from the last route calculation (sorted symmetric
-  // neighbors; live topology edges as flat last_hop/dest pairs in scan
-  // order) plus reusable scratch, so unchanged-input recalcs early-out
-  // without allocating.
-  std::vector<net::Address> route_sym_last_;
-  std::vector<net::Address> route_sym_scratch_;
-  std::vector<net::Address> route_edges_last_;
-  std::vector<net::Address> route_edges_scratch_;
+  // Dense ids: id -> address, and (address, id) sorted by address for
+  // lookups and for FIB writes in ascending address order.
+  std::vector<net::Address> addresses_;
+  IdIndex ids_by_address_;
+  // Topology set in insertion (= scan) order, tombstones included;
+  // topology_head_[id] starts the chain of id's edges as TC originator.
+  std::vector<TopologyEdge> topology_;
+  std::vector<std::uint32_t> topology_head_;
+  std::size_t topology_tombstones_ = 0;
+  TimePoint topology_min_expiry_ = TimePoint::max();  // lower bound
+  // Route mirrored into the host FIB per id; lets recalculation skip FIB
+  // writes for unchanged entries.
+  std::vector<OlsrHop> installed_routes_;
+  // Early-out state: inputs changed since the last full run, and the
+  // earliest time one of that run's inputs lapses by itself.
+  bool routes_dirty_ = true;
+  TimePoint routes_next_expiry_ = TimePoint::max();
+
   sim::PeriodicTimer hello_timer_;
   sim::PeriodicTimer tc_timer_;
   sim::PeriodicTimer housekeeping_timer_;

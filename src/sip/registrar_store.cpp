@@ -147,6 +147,10 @@ void ShardedBindingStore::upsert(const std::string& aor, const Uri& contact,
   std::size_t slot = 0;
   if (Entry* existing = find_entry(shard, hash, aor, &slot)) {
     existing->contact = contact;
+    // A live entry always has a wheel item filed under its current expiry
+    // (purge drains that item only once the entry itself is due), so a
+    // refresh to the same expiry files nothing new.
+    if (existing->expires == expires) return;
     existing->expires = expires;
   } else {
     auto* entry = new Entry{hash, aor, contact, expires};
@@ -181,6 +185,15 @@ std::optional<ContactBinding> ShardedBindingStore::lookup(
   const Entry* e = find_entry(shard, hash, aor, &slot);
   if (e == nullptr || e->expires <= now) return std::nullopt;
   return ContactBinding{e->contact, e->expires};
+}
+
+std::size_t ShardedBindingStore::wheel_items() const {
+  std::size_t items = 0;
+  for (const auto& shard : shards_) {
+    ReadLock lock(shard->mutex);
+    for (const auto& bucket : shard->wheel) items += bucket.size();
+  }
+  return items;
 }
 
 std::size_t ShardedBindingStore::purge_expired(TimePoint now) {

@@ -101,6 +101,9 @@ class ShardedBindingStore final : public BindingStore {
   std::size_t shard_of(std::string_view aor) const;
   /// Bindings stored in one shard.
   std::size_t shard_size(std::size_t shard) const;
+  /// Items filed in the timer wheels, over all shards (test
+  /// introspection: a refresh that keeps its expiry files none).
+  std::size_t wheel_items() const;
 
  private:
   struct Entry {

@@ -213,6 +213,119 @@ TEST_F(OlsrNet, NudgeAdvertisementEmitsImmediately) {
   EXPECT_GT(daemons_[0]->stats().control_packets_sent, before);
 }
 
+// Route recalculation skips the BFS while its inputs are unchanged. An
+// input can also lapse by time alone, with no packet changing any state:
+// these cases drive a daemon (n0) from a scripted neighbor (n1, a bare host
+// that sends hand-built OLSR packets) and check that the route changes at
+// the first recalculation after the lapse.
+class OlsrLapse : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    sim_ = std::make_unique<sim::Simulator>(5);
+    medium_ = std::make_unique<net::RadioMedium>(*sim_, net::RadioConfig{});
+    for (std::size_t i = 0; i < 2; ++i) {
+      hosts_.push_back(std::make_unique<net::Host>(
+          *sim_, static_cast<net::NodeId>(i), "n" + std::to_string(i)));
+      hosts_.back()->attach_radio(
+          *medium_, addr(i),
+          std::make_shared<net::StaticMobility>(
+              net::Position{100.0 * static_cast<double>(i), 0}));
+    }
+    daemon_ = std::make_unique<Olsr>(*hosts_[0]);
+    daemon_->start();
+  }
+
+  static Address addr(std::size_t i) {
+    return Address{net::kManetPrefix.value() + static_cast<std::uint32_t>(i) +
+                   1};
+  }
+
+  /// n1 broadcasts one HELLO, listing n0 as a symmetric neighbor or not.
+  void hello_from_n1(bool lists_n0) {
+    olsr::Message m;
+    m.type = olsr::MsgType::kHello;
+    m.originator = addr(1);
+    m.msg_seq = ++msg_seq_;
+    if (lists_n0) m.hello.links.push_back({olsr::LinkCode::kSym, {addr(0)}});
+    send(std::move(m));
+  }
+
+  /// n1 broadcasts one TC advertising `advertised`.
+  void tc_from_n1(std::vector<Address> advertised) {
+    olsr::Message m;
+    m.type = olsr::MsgType::kTc;
+    m.originator = addr(1);
+    m.ttl = 255;
+    m.msg_seq = ++msg_seq_;
+    m.tc.ansn = 1;
+    m.tc.advertised = std::move(advertised);
+    send(std::move(m));
+  }
+
+  void send(olsr::Message m) {
+    olsr::Packet p;
+    p.pkt_seq = msg_seq_;
+    p.messages.push_back(std::move(m));
+    hosts_[1]->send_broadcast(net::kOlsrPort, net::kOlsrPort, olsr::encode(p));
+  }
+
+  std::unique_ptr<sim::Simulator> sim_;
+  std::unique_ptr<net::RadioMedium> medium_;
+  std::vector<std::unique_ptr<net::Host>> hosts_;
+  std::unique_ptr<Olsr> daemon_;
+  std::uint16_t msg_seq_ = 0;
+};
+
+TEST_F(OlsrLapse, SymmetryLapsesWhileNeighborKeepsTalking) {
+  // Three HELLOs that list n0 make n1 symmetric (neighbor_hold 6 s after
+  // the last one, at 4 s); from then on n1 keeps sending HELLOs that do
+  // not list n0, so the link stays heard but its symmetry lapses at 10 s.
+  // No packet changes any routing input; only the clock does.
+  for (int i = 0; i < 8; ++i) {
+    hello_from_n1(/*lists_n0=*/i < 3);
+    if (i == 2) {
+      sim_->run_for(milliseconds(100));
+      ASSERT_TRUE(daemon_->has_route(addr(1)));
+      sim_->run_for(milliseconds(1900));
+    } else {
+      sim_->run_for(seconds(2));
+    }
+    if (i == 3) {  // t = 8 s: still symmetric until the lapse
+      EXPECT_TRUE(daemon_->symmetric_neighbors().contains(addr(1)));
+      EXPECT_TRUE(daemon_->has_route(addr(1)));
+    }
+  }
+  // t = 16 s: HELLOs at 10, 12 and 14 s each triggered a recalculation
+  // after the lapse.
+  EXPECT_FALSE(daemon_->symmetric_neighbors().contains(addr(1)));
+  EXPECT_FALSE(daemon_->has_route(addr(1)));
+  EXPECT_FALSE(hosts_[0]->lookup_route(addr(1)));  // gone from the FIB too
+}
+
+TEST_F(OlsrLapse, TopologyEdgeExpiresBetweenHousekeepingTicks) {
+  // n1 stays a symmetric neighbor throughout; one TC at 1.23 s advertises
+  // a far node n9 through it. topology_hold is 15 s, so the edge lapses
+  // at 16.23 s, between two 500 ms housekeeping ticks.
+  hello_from_n1(true);
+  sim_->run_for(milliseconds(1230));
+  tc_from_n1({addr(9)});
+  sim_->run_for(milliseconds(100));
+  ASSERT_TRUE(daemon_->has_route(addr(9)));
+  const auto via = hosts_[0]->lookup_route(addr(9));
+  ASSERT_TRUE(via);
+  EXPECT_EQ(via->next_hop, addr(1));
+  EXPECT_EQ(via->metric, 2);
+  for (int i = 0; i < 9; ++i) {  // t = 1.33 s .. 19.33 s
+    hello_from_n1(true);
+    sim_->run_for(seconds(2));
+    if (sim_->now() < TimePoint{} + milliseconds(16230)) {
+      EXPECT_TRUE(daemon_->has_route(addr(9))) << format_time(sim_->now());
+    }
+  }
+  EXPECT_TRUE(daemon_->has_route(addr(1)));
+  EXPECT_FALSE(daemon_->has_route(addr(9)));
+}
+
 // Route completeness across kernels: on a static random placement, once
 // OLSR has settled every node must hold a FIB route to every node in its
 // unit-disk component. A TC that an MPR drops because its first copy

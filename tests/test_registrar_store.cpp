@@ -220,6 +220,42 @@ TEST(ShardedStoreTest, WheelHandlesHorizonWraparound) {
   EXPECT_FALSE(store.lookup("far@x", at(10)));
 }
 
+// A REGISTER refresh usually keeps its expiry; the wheel must not grow by
+// one item (an AOR copy) per refresh, or a registrar that is never purged
+// grows without bound.
+TEST(ShardedStoreTest, SameExpiryRefreshesFileOneWheelItem) {
+  ShardedBindingStore store;
+  for (int i = 0; i < 1000; ++i) {
+    store.upsert("a@x", contact_uri(1 + i % 2, "a"), at(60));
+  }
+  EXPECT_EQ(store.wheel_items(), 1u);
+  EXPECT_EQ(store.lookup("a@x", at(1))->contact, contact_uri(2, "a"));
+}
+
+TEST(ShardedStoreTest, SameExpiryRefreshesStillPurgeAtExpiry) {
+  ShardedBindingStore store;
+  for (int i = 0; i < 10; ++i) store.upsert("a@x", contact_uri(1, "a"), at(5));
+  EXPECT_EQ(store.purge_expired(at(4)), 0u);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.purge_expired(at(5)), 1u);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.wheel_items(), 0u);
+}
+
+TEST(ShardedStoreTest, RefreshToLaterExpiryPurgesAtTheLaterTime) {
+  ShardedBindingStore store;
+  store.upsert("a@x", contact_uri(1, "a"), at(5));
+  store.upsert("a@x", contact_uri(1, "a"), at(5));
+  store.upsert("a@x", contact_uri(1, "a"), at(9));
+  EXPECT_EQ(store.wheel_items(), 2u);  // one per distinct expiry
+  EXPECT_EQ(store.purge_expired(at(5)), 0u);
+  EXPECT_TRUE(store.lookup("a@x", at(5)));
+  EXPECT_EQ(store.purge_expired(at(8)), 0u);
+  EXPECT_EQ(store.purge_expired(at(9)), 1u);
+  EXPECT_FALSE(store.lookup("a@x", at(9)));
+  EXPECT_EQ(store.wheel_items(), 0u);
+}
+
 /// Lookup cost must not depend on how many stores the calling thread has
 /// used before. A per-thread cache keyed by store once grew by one entry
 /// per store and was scanned on every lookup: 62 ns per lookup at first,
