@@ -65,7 +65,7 @@ StateReport measure_node(NodeStack& stack) {
   report.proxy_bindings = stack.proxy().binding_count();
   report.proxy_bytes =
       report.proxy_bindings * (sizeof(SiphocProxy::Binding) + 32);
-  report.fib_routes = stack.host().routes().size();
+  report.fib_routes = stack.host().route_count();
   report.fib_bytes = report.fib_routes * sizeof(net::RouteEntry);
   return report;
 }

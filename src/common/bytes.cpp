@@ -7,20 +7,42 @@
 namespace siphoc {
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
+  // Slicing-by-8: table[k][b] is the CRC of byte b followed by k zero
+  // bytes, so eight input bytes fold into the register with eight lookups
+  // and no loop-carried dependency between them.
   static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+      }
     }
     return t;
   }();
+  const auto le32 = [](const std::uint8_t* p) {
+    return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
+           (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
+  };
   std::uint32_t crc = 0xffffffffu;
-  for (const std::uint8_t b : data) {
-    crc = table[(crc ^ b) & 0xffu] ^ (crc >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = crc ^ le32(p);
+    const std::uint32_t hi = le32(p + 4);
+    crc = table[7][lo & 0xffu] ^ table[6][(lo >> 8) & 0xffu] ^
+          table[5][(lo >> 16) & 0xffu] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xffu] ^ table[2][(hi >> 8) & 0xffu] ^
+          table[1][(hi >> 16) & 0xffu] ^ table[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = table[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }

@@ -115,7 +115,37 @@ bool Host::send_datagram(Datagram d) {
   return true;
 }
 
+namespace {
+
+struct ByPrefix {
+  bool operator()(const RouteEntry& r, Address a) const { return r.prefix < a; }
+  bool operator()(Address a, const RouteEntry& r) const { return a < r.prefix; }
+};
+
+/// The run of `routes` (sorted by prefix) whose prefix is `prefix`.
+template <typename Routes>
+auto host_route_range(Routes& routes, Address prefix) {
+  return std::equal_range(routes.begin(), routes.end(), prefix, ByPrefix{});
+}
+
+}  // namespace
+
 void Host::add_route(RouteEntry entry) {
+  if (entry.prefix_len == 32) {
+    // Replace an identical prefix/iface entry and move it to the end of its
+    // prefix's run: it counts as the newest insertion.
+    auto [first, last] = host_route_range(host_routes_, entry.prefix);
+    const auto same = std::find_if(first, last, [&](const RouteEntry& r) {
+      return r.iface == entry.iface;
+    });
+    if (same != last) {
+      std::rotate(same, same + 1, last);
+      *(last - 1) = entry;
+    } else {
+      host_routes_.insert(last, entry);
+    }
+    return;
+  }
   // Replace an identical prefix/len/iface entry instead of duplicating.
   std::erase_if(routes_, [&](const RouteEntry& r) {
     return r.prefix == entry.prefix && r.prefix_len == entry.prefix_len &&
@@ -125,24 +155,38 @@ void Host::add_route(RouteEntry entry) {
 }
 
 void Host::remove_route(Address prefix, int prefix_len) {
+  if (prefix_len == 32) {
+    const auto [first, last] = host_route_range(host_routes_, prefix);
+    host_routes_.erase(first, last);
+    return;
+  }
   std::erase_if(routes_, [&](const RouteEntry& r) {
     return r.prefix == prefix && r.prefix_len == prefix_len;
   });
 }
 
 void Host::clear_routes(Interface iface) {
-  std::erase_if(routes_, [&](const RouteEntry& r) { return r.iface == iface; });
+  const auto on_iface = [&](const RouteEntry& r) { return r.iface == iface; };
+  std::erase_if(routes_, on_iface);
+  std::erase_if(host_routes_, on_iface);
 }
 
 std::optional<RouteEntry> Host::lookup_route(Address dst) const {
   const RouteEntry* best = nullptr;
-  for (const auto& r : routes_) {
-    if (!r.matches(dst)) continue;
+  const auto consider = [&](const RouteEntry& r) {
     if (best == nullptr || r.prefix_len > best->prefix_len ||
         (r.prefix_len == best->prefix_len && r.metric < best->metric)) {
       best = &r;
     }
+  };
+  for (const auto& r : routes_) {
+    if (r.matches(dst)) consider(r);
   }
+  // Host routes match exactly their prefix; none shares a prefix length
+  // with routes_, so visiting them after it in insertion order keeps the
+  // tie-break.
+  const auto [first, last] = host_route_range(host_routes_, dst);
+  for (auto it = first; it != last; ++it) consider(*it);
   if (best == nullptr) return std::nullopt;
   return *best;
 }

@@ -114,12 +114,20 @@ class Host {
   bool send_datagram(Datagram d);
 
   // --- routing table ------------------------------------------------------
+  // Lookup picks the longest matching prefix, then the lowest metric, then
+  // the earliest insertion still present (re-adding a route counts as a new
+  // insertion). /32 host routes -- one per destination the routing daemon
+  // knows -- sit in a vector sorted by address, so adding, removing and
+  // finding one is a binary search instead of a scan of the whole table.
+  /// Replaces any route with the same prefix/len/iface.
   void add_route(RouteEntry entry);
   /// Removes routes with this exact prefix/len (any next hop).
   void remove_route(Address prefix, int prefix_len);
   void clear_routes(Interface iface);
   std::optional<RouteEntry> lookup_route(Address dst) const;
-  const std::vector<RouteEntry>& routes() const { return routes_; }
+  std::size_t route_count() const {
+    return routes_.size() + host_routes_.size();
+  }
 
   /// The MANET routing daemon claims datagrams that have no route yet
   /// (on-demand protocols buffer them and start a route discovery). Return
@@ -178,7 +186,10 @@ class Host {
   Address tunnel_address_;
   std::function<void(Datagram)> tunnel_encap_;
 
-  std::vector<RouteEntry> routes_;
+  std::vector<RouteEntry> routes_;  // prefix_len != 32, insertion order
+  // prefix_len == 32, sorted by prefix; one prefix's routes (at most one
+  // per interface) in insertion order.
+  std::vector<RouteEntry> host_routes_;
   std::map<std::uint16_t, UdpHandler> udp_;
   std::function<bool(Datagram)> route_resolver_;
   std::function<void(const Frame&)> link_failure_;

@@ -1,12 +1,14 @@
 #include "routing/olsr.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace siphoc::routing {
 
 using olsr::Hello;
 using olsr::LinkCode;
 using olsr::Message;
+using olsr::MessageView;
 using olsr::MsgType;
 using olsr::Packet;
 using olsr::Tc;
@@ -157,10 +159,14 @@ void Olsr::send_tc() {
 void Olsr::transmit(Message message) {
   Packet p;
   p.pkt_seq = ++pkt_seq_;
-  stats_.extension_bytes_sent += message.extension.size();
-  metrics_.routing.piggyback_bytes.add(message.extension.size());
+  const std::size_t extension_bytes = message.extension.size();
   p.messages.push_back(std::move(message));
-  Bytes wire = olsr::encode(p);
+  send(olsr::encode(p), extension_bytes);
+}
+
+void Olsr::send(Bytes wire, std::size_t extension_bytes) {
+  stats_.extension_bytes_sent += extension_bytes;
+  metrics_.routing.piggyback_bytes.add(extension_bytes);
   ++stats_.control_packets_sent;
   stats_.control_bytes_sent += wire.size();
   metrics_.routing.control_packets.add();
@@ -173,7 +179,9 @@ void Olsr::transmit(Message message) {
 // --------------------------------------------------------------------------
 
 void Olsr::on_packet(const net::Datagram& d, const net::RxInfo&) {
-  auto packet = olsr::decode(d.payload);
+  // Header first (RFC 3626 §3.4): the scan checks the CRC and structure in
+  // place, so a duplicate copy is dropped without copying anything.
+  const auto packet = olsr::scan(d.payload);
   if (!packet) {
     metrics_.routing.decode_errors.add();
     log_.warn("malformed OLSR packet from ", d.src.to_string(), ": ",
@@ -188,8 +196,8 @@ void Olsr::on_packet(const net::Datagram& d, const net::RxInfo&) {
         .add();
   }
   const net::Address prev_hop = d.src;
-  for (const auto& m : packet->messages) {
-    if (m.originator == self()) continue;
+  olsr::for_each_message(*packet, [&](const MessageView& m) {
+    if (m.originator == self()) return;
 
     if (m.type == MsgType::kHello) {
       process_hello(m, prev_hop);
@@ -198,7 +206,7 @@ void Olsr::on_packet(const net::Datagram& d, const net::RxInfo&) {
             PacketInfo{PacketKind::kOlsrHello, m.originator, net::Address{}},
             m.extension, m.originator);
       }
-      continue;
+      return;
     }
 
     // TC: processed once, on the first copy; relayed once, on the first
@@ -207,43 +215,55 @@ void Olsr::on_packet(const net::Datagram& d, const net::RxInfo&) {
     // still relay the selector's later copy, or the flood has a hole.
     const std::uint64_t key =
         (std::uint64_t{m.originator.value()} << 16) | m.msg_seq;
-    const auto [dup, first] =
-        duplicates_.try_emplace(key, Duplicate{now() + seconds(30), false});
+    bool first = false;
+    std::size_t slot =
+        duplicates_.find_or_insert(key, now() + seconds(30), first);
     if (first) {
-      duplicate_order_.push_back(key);
       process_tc(m);
       if (handler_ != nullptr) {
         handler_->on_incoming(
             PacketInfo{PacketKind::kOlsrTc, m.originator, net::Address{}},
             m.extension, m.originator);
       }
+      slot = duplicates_.find(key);  // a slot index lasts until an insert
     }
-    if (!dup->second.forwarded) {
-      dup->second.forwarded = maybe_forward(m, prev_hop);
+    if (!duplicates_.relayed(slot) && maybe_forward(m, prev_hop)) {
+      duplicates_.set_relayed(slot);
     }
-  }
+  });
 }
 
-void Olsr::process_hello(const Message& m, net::Address from) {
+void Olsr::process_hello(const MessageView& m, net::Address from) {
+  const TimePoint t = now();
   const auto [link_it, new_link] = links_.try_emplace(from);
   auto& link = link_it->second;
-  if (new_link) link.id = intern(from);
-  link.last_heard = now();
+  if (new_link) {
+    link.id = intern(from);
+    mprs_dirty_ = true;
+  }
+  link.last_heard = t;
 
-  // Symmetry check: do they list us in any group?
+  // Symmetry check (do they list us in any group?) and the two-hop
+  // neighborhood: their symmetric neighbors, us excluded.
+  const net::Address me = self();
   bool lists_us = false;
   bool selects_us_mpr = false;
-  for (const auto& g : m.hello.links) {
-    for (const auto& n : g.neighbors) {
-      if (n == self()) {
-        lists_us = true;
-        if (g.code == LinkCode::kMpr) selects_us_mpr = true;
-      }
+  thread_local std::vector<OlsrNodeId> two_hop;
+  two_hop.clear();
+  olsr::for_each_hello_neighbor(m, [&](LinkCode code, net::Address n) {
+    if (n == me) {
+      lists_us = true;
+      if (code == LinkCode::kMpr) selects_us_mpr = true;
+    } else if (code != LinkCode::kAsym) {
+      two_hop.push_back(intern(n));
     }
-  }
+  });
   if (lists_us) {
-    if (link.sym_until <= now()) routes_dirty_ = true;  // turns symmetric
-    link.sym_until = now() + config_.neighbor_hold;
+    if (link.sym_until <= t) {  // turns symmetric
+      routes_dirty_ = true;
+      mprs_dirty_ = true;
+    }
+    link.sym_until = t + config_.neighbor_hold;
   }
   link.is_mpr_of_us = selects_us_mpr;
   if (selects_us_mpr) {
@@ -252,21 +272,18 @@ void Olsr::process_hello(const Message& m, net::Address from) {
     selectors_.erase(from);
   }
 
-  // Two-hop neighborhood: their symmetric neighbors (excluding us).
-  std::set<net::Address> their_neighbors;
-  for (const auto& g : m.hello.links) {
-    if (g.code == LinkCode::kAsym) continue;
-    for (const auto& n : g.neighbors) {
-      if (n != self()) their_neighbors.insert(n);
-    }
+  std::sort(two_hop.begin(), two_hop.end());
+  two_hop.erase(std::unique(two_hop.begin(), two_hop.end()), two_hop.end());
+  if (two_hop != link.two_hop) {
+    link.two_hop.assign(two_hop.begin(), two_hop.end());
+    mprs_dirty_ = true;
   }
-  two_hop_[from] = std::move(their_neighbors);
 
   select_mprs();
   schedule_route_calc();
 }
 
-void Olsr::process_tc(const Message& m) {
+void Olsr::process_tc(const MessageView& m) {
   // RFC 9.5: keep only the newest advertisement set per originator.
   // Refresh surviving edges in place first, then drop the stale-ANSN
   // remainder: a periodic TC that re-advertises the same neighbor set
@@ -275,8 +292,9 @@ void Olsr::process_tc(const Message& m) {
   // walked.
   const TimePoint t = now();
   const TimePoint expires = t + config_.topology_hold;
+  const std::uint16_t ansn = olsr::tc_ansn(m);
   const OlsrNodeId origin = intern(m.originator);
-  for (const auto& dest_address : m.tc.advertised) {
+  olsr::for_each_tc_neighbor(m, [&](net::Address dest_address) {
     const OlsrNodeId dest = intern(dest_address);
     std::uint32_t slot = topology_head_[origin];
     while (slot != kNoSlot && topology_[slot].dest != dest) {
@@ -285,19 +303,19 @@ void Olsr::process_tc(const Message& m) {
     if (slot != kNoSlot) {
       TopologyEdge& e = topology_[slot];
       if (e.expires <= t) routes_dirty_ = true;  // revives an expired edge
-      e.ansn = m.tc.ansn;
+      e.ansn = ansn;
       e.expires = expires;
     } else {
-      topology_.push_back({origin, dest, topology_head_[origin], m.tc.ansn,
-                           false, expires});
+      topology_.push_back(
+          {origin, dest, topology_head_[origin], ansn, false, expires});
       topology_head_[origin] = static_cast<std::uint32_t>(topology_.size() - 1);
       topology_min_expiry_ = std::min(topology_min_expiry_, expires);
       routes_dirty_ = true;
     }
-  }
+  });
   for (std::uint32_t* link = &topology_head_[origin]; *link != kNoSlot;) {
     TopologyEdge& e = topology_[*link];
-    if (static_cast<std::int16_t>(m.tc.ansn - e.ansn) > 0) {
+    if (static_cast<std::int16_t>(ansn - e.ansn) > 0) {
       if (e.expires > t) routes_dirty_ = true;
       e.erased = true;
       *link = e.next;
@@ -336,80 +354,204 @@ std::size_t Olsr::compact_topology(TimePoint cutoff) {
   return expired;
 }
 
-bool Olsr::maybe_forward(const Message& m, net::Address prev_hop) {
+bool Olsr::maybe_forward(const MessageView& m, net::Address prev_hop) {
   // Default forwarding algorithm: retransmit only if the previous hop has
   // selected us as MPR, the link is symmetric, and TTL allows it.
   if (m.ttl <= 1) return false;
-  if (!is_symmetric(prev_hop)) return false;
   const auto it = links_.find(prev_hop);
-  if (it == links_.end() || !it->second.is_mpr_of_us) return false;
-
-  Message fwd = m;
-  fwd.ttl -= 1;
-  fwd.hop_count += 1;
+  if (it == links_.end() || it->second.sym_until <= now() ||
+      !it->second.is_mpr_of_us) {
+    return false;
+  }
   metrics_.tc_forwarded.add();
-  transmit(std::move(fwd));
+  send(olsr::encode_relay(++pkt_seq_, m), m.extension.size());
   return true;
+}
+
+// --------------------------------------------------------------------------
+// Duplicate set
+// --------------------------------------------------------------------------
+
+std::size_t OlsrDuplicateSet::home(std::uint64_t key) const {
+  // Fibonacci hashing: originator and msg_seq both reach the top bits.
+  const int bits = std::countr_zero(slots_.size());
+  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> (64 - bits));
+}
+
+std::size_t OlsrDuplicateSet::find(std::uint64_t key) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    if ((slots_[i] & kKeyMask) == key && slots_[i] != 0) return i;
+  }
+}
+
+std::size_t OlsrDuplicateSet::find_or_insert(std::uint64_t key,
+                                             TimePoint expires,
+                                             bool& inserted) {
+  if (2 * (order_.size() + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(key);
+  for (; slots_[i] != 0; i = (i + 1) & mask) {
+    if ((slots_[i] & kKeyMask) == key) {
+      inserted = false;
+      return i;
+    }
+  }
+  slots_[i] = kUsed | key;
+  order_.emplace_back(key, expires);
+  inserted = true;
+  return i;
+}
+
+void OlsrDuplicateSet::grow() {
+  std::vector<std::uint64_t> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : 2 * old.size(), 0);
+  const std::size_t mask = slots_.size() - 1;
+  for (const std::uint64_t s : old) {
+    if (s == 0) continue;
+    std::size_t i = home(s & kKeyMask);
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+}
+
+void OlsrDuplicateSet::erase_slot(std::size_t slot) {
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole unless that would move one before its home slot.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = slot;;) {
+    slots_[slot] = 0;
+    for (;;) {
+      j = (j + 1) & mask;
+      if (slots_[j] == 0) return;
+      const std::size_t h = home(slots_[j] & kKeyMask);
+      const bool stays = slot <= j ? (slot < h && h <= j) : (slot < h || h <= j);
+      if (!stays) break;
+    }
+    slots_[slot] = slots_[j];
+    slot = j;
+  }
+}
+
+void OlsrDuplicateSet::expire(TimePoint now) {
+  while (!order_.empty() && order_.front().second <= now) {
+    erase_slot(find(order_.front().first));
+    order_.pop_front();
+  }
 }
 
 // --------------------------------------------------------------------------
 // MPR selection (RFC 8.3.1, greedy heuristic)
 // --------------------------------------------------------------------------
 
-void Olsr::select_mprs() {
-  std::set<net::Address> neighbors = symmetric_neighbors();
+void select_olsr_mprs(OlsrNodeId self,
+                      std::span<const OlsrMprCandidate> neighbors,
+                      std::size_t node_count,
+                      std::vector<std::uint8_t>& selected) {
+  enum : std::uint8_t { kOther, kNeighbor, kUncovered, kCovered };
+  // Per-call scratch is per thread, not per daemon (see
+  // compute_olsr_routes).
+  thread_local std::vector<std::uint8_t> state;
+  thread_local std::vector<std::uint32_t> coverers;
+  state.assign(node_count, kOther);
+  coverers.assign(node_count, 0);
+  for (const auto& n : neighbors) state[n.id] = kNeighbor;
 
-  // Two-hop nodes strictly two hops away.
-  std::set<net::Address> uncovered;
+  // Two-hop nodes strictly two hops away, and how many neighbors reach each.
+  // Only these ever leave kOther, so later passes need not test for self.
+  std::size_t uncovered = 0;
   for (const auto& n : neighbors) {
-    const auto it = two_hop_.find(n);
-    if (it == two_hop_.end()) continue;
-    for (const auto& t : it->second) {
-      if (t != self() && !neighbors.contains(t)) uncovered.insert(t);
+    for (const OlsrNodeId t : n.two_hop) {
+      if (t == self || state[t] == kNeighbor) continue;
+      if (state[t] == kOther) {
+        state[t] = kUncovered;
+        ++uncovered;
+      }
+      ++coverers[t];
     }
   }
-
-  std::set<net::Address> mprs;
-  // First: neighbors that are the only path to some two-hop node.
-  for (const auto& t : uncovered) {
-    net::Address only;
-    int count = 0;
-    for (const auto& n : neighbors) {
-      const auto it = two_hop_.find(n);
-      if (it != two_hop_.end() && it->second.contains(t)) {
-        only = n;
-        ++count;
+  const auto cover = [&](const OlsrMprCandidate& n) {
+    for (const OlsrNodeId t : n.two_hop) {
+      if (state[t] == kUncovered) {
+        state[t] = kCovered;
+        --uncovered;
       }
     }
-    if (count == 1) mprs.insert(only);
+  };
+
+  // First: neighbors that are the only path to some two-hop node.
+  selected.assign(neighbors.size(), 0);
+  for (std::size_t i = 0; i < neighbors.size(); ++i) {
+    for (const OlsrNodeId t : neighbors[i].two_hop) {
+      if (state[t] == kUncovered && coverers[t] == 1) {
+        selected[i] = 1;
+        break;
+      }
+    }
   }
-  for (const auto& n : mprs) {
-    const auto it = two_hop_.find(n);
-    if (it == two_hop_.end()) continue;
-    for (const auto& t : it->second) uncovered.erase(t);
+  for (std::size_t i = 0; i < neighbors.size(); ++i) {
+    if (selected[i] != 0) cover(neighbors[i]);
   }
   // Greedy: repeatedly pick the neighbor covering the most remaining.
-  while (!uncovered.empty()) {
-    net::Address best;
+  while (uncovered > 0) {
+    std::size_t best = 0;
     std::size_t best_cover = 0;
-    for (const auto& n : neighbors) {
-      if (mprs.contains(n)) continue;
-      const auto it = two_hop_.find(n);
-      if (it == two_hop_.end()) continue;
-      std::size_t cover = 0;
-      for (const auto& t : it->second) {
-        if (uncovered.contains(t)) ++cover;
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      if (selected[i] != 0) continue;
+      std::size_t c = 0;
+      for (const OlsrNodeId t : neighbors[i].two_hop) {
+        if (state[t] == kUncovered) ++c;
       }
-      if (cover > best_cover) {
-        best_cover = cover;
-        best = n;
+      if (c > best_cover) {
+        best_cover = c;
+        best = i;
       }
     }
     if (best_cover == 0) break;  // leftover two-hop nodes are unreachable
-    mprs.insert(best);
-    for (const auto& t : two_hop_.at(best)) uncovered.erase(t);
+    selected[best] = 1;
+    cover(neighbors[best]);
   }
-  mprs_ = std::move(mprs);
+}
+
+void Olsr::select_mprs() {
+  // The selection is a pure function of the symmetric neighbor set and
+  // their two-hop lists; unless one of those changed (dirty) or a
+  // symmetric neighbor lapsed since the last run, it would reproduce mprs_.
+  const TimePoint t = now();
+  if (!mprs_dirty_ && t < mprs_next_expiry_) return;
+  mprs_dirty_ = false;
+
+  thread_local std::vector<std::pair<net::Address, const LinkInfo*>> sym;
+  thread_local std::vector<OlsrMprCandidate> candidates;
+  thread_local std::vector<std::uint8_t> selected;
+  TimePoint next_expiry = TimePoint::max();
+  sym.clear();
+  for (const auto& [addr, link] : links_) {
+    if (link.sym_until <= t) continue;
+    sym.emplace_back(addr, &link);
+    next_expiry = std::min(next_expiry, link.sym_until);
+  }
+  mprs_next_expiry_ = next_expiry;
+  std::sort(sym.begin(), sym.end());  // ascending address: the tie-break
+  candidates.clear();
+  for (const auto& [addr, link] : sym) {
+    candidates.push_back({link->id, link->two_hop});
+  }
+  select_olsr_mprs(intern(self()), candidates, addresses_.size(), selected);
+
+  // `sym` is in address order, so the selection comes out sorted.
+  auto it = mprs_.begin();
+  bool same = true;
+  for (std::size_t i = 0; i < sym.size() && same; ++i) {
+    if (selected[i] == 0) continue;
+    same = it != mprs_.end() && *it == sym[i].first;
+    if (same) ++it;
+  }
+  if (same && it == mprs_.end()) return;
+  mprs_.clear();
+  for (std::size_t i = 0; i < sym.size(); ++i) {
+    if (selected[i] != 0) mprs_.insert(mprs_.end(), sym[i].first);
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -529,9 +671,9 @@ void Olsr::expire_state() {
   for (auto it = links_.begin(); it != links_.end();) {
     if (it->second.last_heard + config_.neighbor_hold <= t) {
       selectors_.erase(it->first);
-      two_hop_.erase(it->first);
       it = links_.erase(it);
       changed = true;
+      mprs_dirty_ = true;
     } else {
       ++it;
     }
@@ -539,12 +681,7 @@ void Olsr::expire_state() {
   // Nothing in the topology set can have expired before its earliest
   // expiry; only then is the sweep worth its O(E) pass.
   if (t >= topology_min_expiry_ && compact_topology(t) > 0) changed = true;
-  while (!duplicate_order_.empty()) {
-    const auto dup = duplicates_.find(duplicate_order_.front());
-    if (dup->second.expires > t) break;
-    duplicates_.erase(dup);
-    duplicate_order_.pop_front();
-  }
+  duplicates_.expire(t);
   if (changed) {
     select_mprs();
     schedule_route_calc();

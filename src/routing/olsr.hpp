@@ -19,6 +19,21 @@
 // The BFS itself (compute_olsr_routes) is a pure function over ids whose
 // per-call buffers are thread_local, not per daemon.
 //
+// MPR selection follows the same pattern. Each link holds the sorted ids of
+// the neighbor's own symmetric neighbors (its last HELLO). The greedy
+// selection (select_olsr_mprs) is a pure function over ids with
+// thread_local flat scratch, and it is gated by a dirty bit: a new link, a
+// link turned symmetric or erased, or a changed two-hop list. A second gate
+// is the earliest sym_until among the last run's symmetric neighbors.
+// mprs_ is replaced only when the selected set differs.
+//
+// Receive path (RFC 3626 §3.4 order): olsr::scan checks the CRC and the
+// packet structure in place, the duplicate set is consulted from the
+// message header, and HELLO and TC bodies are read straight off the wire
+// bytes. A relayed TC is the received message's bytes with TTL and hop
+// count patched (olsr::encode_relay). A duplicate copy therefore costs no
+// heap allocation at all.
+//
 // SIPHoc integration: the RoutingHandler seam fires for every originated
 // HELLO and TC, and for every *first* reception of a message carrying an
 // extension (forwarded copies keep the original extension, so a TC floods
@@ -76,6 +91,59 @@ void compute_olsr_routes(OlsrNodeId self, std::span<const OlsrNodeId> seeds,
                          std::span<const OlsrEdge> edges,
                          std::size_t node_count, std::vector<OlsrHop>& out);
 
+/// One symmetric neighbor as MPR selection sees it: its id and the ids it
+/// reported as its own symmetric neighbors (no duplicates, any order).
+struct OlsrMprCandidate {
+  OlsrNodeId id = 0;
+  std::span<const OlsrNodeId> two_hop;
+};
+
+/// Greedy MPR selection (RFC 3626 §8.3.1 heuristic). `neighbors` are the
+/// distinct symmetric neighbors, none of them `self`, in ascending address
+/// order. The nodes to cover are the ids in some neighbor's two_hop that are
+/// neither `self` nor a neighbor. First every neighbor that is the only one
+/// covering some node is selected; then, while nodes stay uncovered, the
+/// neighbor covering the most of them is, the earliest on a tie. On return
+/// `selected[i]` is 1 iff neighbors[i] was chosen. Every id must be below
+/// `node_count`.
+void select_olsr_mprs(OlsrNodeId self,
+                      std::span<const OlsrMprCandidate> neighbors,
+                      std::size_t node_count,
+                      std::vector<std::uint8_t>& selected);
+
+/// Duplicate set (RFC 3626 §3.4): the TC messages seen, each keyed by
+/// originator and msg_seq (48 bits), with whether this node relayed it.
+/// Entries expire in insertion order. The table is compact: key and flag
+/// share one 8-byte slot (open addressing, linear probing, load <= 1/2),
+/// and the expiry times live only in the FIFO that drives expiry.
+class OlsrDuplicateSet {
+ public:
+  /// Index of `key`'s slot, inserting it (not relayed, expiring at
+  /// `expires`) when absent; `inserted` says which. The index stays valid
+  /// until the next insert or expire.
+  std::size_t find_or_insert(std::uint64_t key, TimePoint expires,
+                             bool& inserted);
+  /// Index of `key`'s slot; `key` must be present.
+  std::size_t find(std::uint64_t key) const;
+  bool relayed(std::size_t slot) const { return (slots_[slot] & kRelayed) != 0; }
+  void set_relayed(std::size_t slot) { slots_[slot] |= kRelayed; }
+  /// Drops every entry whose expiry is at or before `now`.
+  void expire(TimePoint now);
+  std::size_t size() const { return order_.size(); }
+
+ private:
+  static constexpr std::uint64_t kUsed = std::uint64_t{1} << 63;
+  static constexpr std::uint64_t kRelayed = std::uint64_t{1} << 62;
+  static constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << 48) - 1;
+
+  std::size_t home(std::uint64_t key) const;
+  void grow();
+  void erase_slot(std::size_t slot);
+
+  std::vector<std::uint64_t> slots_;  // 0 = empty, else kUsed | flag | key
+  std::deque<std::pair<std::uint64_t, TimePoint>> order_;  // oldest first
+};
+
 class Olsr final : public Protocol {
  public:
   Olsr(net::Host& host, OlsrConfig config = {});
@@ -111,14 +179,9 @@ class Olsr final : public Protocol {
     TimePoint sym_until{};  // symmetric while now < sym_until
     bool is_mpr_of_us = false;
     OlsrNodeId id = 0;
-  };
-  /// Duplicate-set entry (RFC 3626 §3.4): a TC seen from one originator
-  /// with one msg_seq (the key packs both), and whether this node has
-  /// relayed it yet. Entries expire in insertion order, so a FIFO of keys
-  /// drives expiry instead of a scan.
-  struct Duplicate {
-    TimePoint expires{};
-    bool forwarded = false;
+    // The neighbor's symmetric neighbors from its last HELLO, us excluded:
+    // ids, sorted, no duplicates.
+    std::vector<OlsrNodeId> two_hop;
   };
   struct TopologyEdge {
     OlsrNodeId last_hop = 0;  // TC originator
@@ -143,11 +206,13 @@ class Olsr final : public Protocol {
   void send_hello();
   void send_tc();
   void transmit(olsr::Message message);
+  /// Broadcasts one encoded packet and counts it.
+  void send(Bytes wire, std::size_t extension_bytes);
   void on_packet(const net::Datagram& d, const net::RxInfo& rx);
-  void process_hello(const olsr::Message& m, net::Address from);
-  void process_tc(const olsr::Message& m);
+  void process_hello(const olsr::MessageView& m, net::Address from);
+  void process_tc(const olsr::MessageView& m);
   /// Relays `m` when `prev_hop` selected us as MPR; true when it did.
-  bool maybe_forward(const olsr::Message& m, net::Address prev_hop);
+  bool maybe_forward(const olsr::MessageView& m, net::Address prev_hop);
 
   void select_mprs();
   void schedule_route_calc();
@@ -165,11 +230,6 @@ class Olsr final : public Protocol {
   /// Returns how many live (not tombstoned) edges it dropped.
   std::size_t compact_topology(TimePoint cutoff);
 
-  bool is_symmetric(net::Address n) const {
-    const auto it = links_.find(n);
-    return it != links_.end() && it->second.sym_until > now();
-  }
-
   net::Host& host_;
   OlsrConfig config_;
   Logger log_;
@@ -181,12 +241,9 @@ class Olsr final : public Protocol {
   std::uint16_t ansn_ = 0;
 
   std::unordered_map<net::Address, LinkInfo> links_;
-  // neighbor -> its symmetric neighbors (from HELLO) = two-hop candidates.
-  std::unordered_map<net::Address, std::set<net::Address>> two_hop_;
   std::set<net::Address> mprs_;       // we relay through these
   std::set<net::Address> selectors_;  // these relay through us
-  std::unordered_map<std::uint64_t, Duplicate> duplicates_;
-  std::deque<std::uint64_t> duplicate_order_;  // keys, oldest first
+  OlsrDuplicateSet duplicates_;
 
   // Dense ids: id -> address, and (address, id) sorted by address for
   // lookups and for FIB writes in ascending address order.
@@ -205,6 +262,9 @@ class Olsr final : public Protocol {
   // earliest time one of that run's inputs lapses by itself.
   bool routes_dirty_ = true;
   TimePoint routes_next_expiry_ = TimePoint::max();
+  // The same for MPR selection.
+  bool mprs_dirty_ = true;
+  TimePoint mprs_next_expiry_ = TimePoint::max();
 
   sim::PeriodicTimer hello_timer_;
   sim::PeriodicTimer tc_timer_;

@@ -1,6 +1,8 @@
 // Unit tests: common utilities (bytes, strings, result, time, rng).
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "common/bytes.hpp"
 #include "common/random.hpp"
 #include "common/result.hpp"
@@ -52,6 +54,43 @@ TEST(BytesTest, StringUnderrun) {
   w.u16(100);  // claims 100 bytes, provides none
   BufferReader r(buf);
   EXPECT_FALSE(r.str());
+}
+
+/// Bytewise CRC-32 (one table lookup per byte): the oracle for the
+/// slicing-by-8 crc32.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xffffffffu;
+  for (const std::uint8_t b : data) {
+    crc ^= b;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(BytesTest, Crc32KnownAnswer) {
+  EXPECT_EQ(crc32(to_bytes("123456789")), 0xcbf43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(BytesTest, Crc32MatchesBytewiseReference) {
+  std::mt19937_64 rng(42);
+  std::uniform_int_distribution<int> byte(0, 255);
+  const auto check = [&](std::size_t len) {
+    Bytes data(len);
+    for (auto& b : data) b = static_cast<std::uint8_t>(byte(rng));
+    ASSERT_EQ(crc32(data), crc32_bytewise(data)) << "length " << len;
+    // Unaligned starts: the 8-byte steps must not assume alignment.
+    if (len > 3) {
+      const std::span<const std::uint8_t> tail(data.data() + 3, len - 3);
+      ASSERT_EQ(crc32(tail), crc32_bytewise(tail)) << "length " << len;
+    }
+  };
+  for (std::size_t len = 0; len <= 64; ++len) check(len);
+  std::uniform_int_distribution<std::size_t> length(0, 4096);
+  for (int i = 0; i < 500; ++i) check(length(rng));
+  check(4096);
 }
 
 TEST(BytesTest, HexDumpShape) {

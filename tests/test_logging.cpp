@@ -132,12 +132,12 @@ TEST(HostEdgeTest, OwnsAddressAcrossInterfaces) {
 TEST(HostEdgeTest, RouteReplacementNotDuplication) {
   sim::Simulator sim;
   net::Host host(sim, 0, "h");
-  const std::size_t before = host.routes().size();
+  const std::size_t before = host.route_count();
   host.add_route({net::Address(10, 0, 0, 9), 32, net::Address(10, 0, 0, 2),
                   net::Interface::kRadio, 2});
   host.add_route({net::Address(10, 0, 0, 9), 32, net::Address(10, 0, 0, 3),
                   net::Interface::kRadio, 1});
-  EXPECT_EQ(host.routes().size(), before + 1);
+  EXPECT_EQ(host.route_count(), before + 1);
   const auto r = host.lookup_route(net::Address(10, 0, 0, 9));
   ASSERT_TRUE(r);
   EXPECT_EQ(r->next_hop, net::Address(10, 0, 0, 3));

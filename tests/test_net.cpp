@@ -6,6 +6,7 @@
 
 #include "net/host.hpp"
 #include "net/internet.hpp"
+#include "reference/linear_fib.hpp"
 
 namespace siphoc::net {
 namespace {
@@ -67,6 +68,72 @@ TEST(DatagramTest, DecodeTruncatedFails) {
   wire.pop_back();
   EXPECT_FALSE(Datagram::decode(wire));
 }
+
+// Differential test: Host's FIB (/32 routes in a sorted index, the rest in
+// a vector) against the linear table it replaced, over seeded random add,
+// remove, clear and lookup sequences. Overlapping prefixes, equal metrics
+// and re-added routes make the longest-prefix / lowest-metric /
+// earliest-insertion order decide often.
+class FibDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FibDifferential, HostFibMatchesLinearReference) {
+  std::mt19937_64 rng(GetParam());
+  sim::Simulator sim(1);
+  Host host(sim, 0, "h");
+  reference::LinearFib ref;
+  ASSERT_EQ(host.route_count(), 0u);
+
+  const auto address = [&] {
+    // A handful of /24s and a few hosts in each: many overlaps.
+    const std::uint32_t net = std::uniform_int_distribution<std::uint32_t>(0, 2)(rng);
+    const std::uint32_t host_part = std::uniform_int_distribution<std::uint32_t>(0, 11)(rng);
+    return Address{(10u << 24) | (net << 8) | host_part};
+  };
+  const auto prefix_len = [&] {
+    static constexpr int kLens[] = {0, 8, 16, 22, 24, 30, 32, 32, 32, 32};
+    return kLens[std::uniform_int_distribution<std::size_t>(0, 9)(rng)];
+  };
+  const auto iface = [&] {
+    return static_cast<Interface>(std::uniform_int_distribution<int>(0, 3)(rng));
+  };
+  std::size_t hits = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const int op = std::uniform_int_distribution<int>(0, 99)(rng);
+    if (op < 45) {
+      RouteEntry e{address(), prefix_len(), std::nullopt, iface(),
+                   std::uniform_int_distribution<int>(1, 3)(rng)};
+      if (std::bernoulli_distribution(0.5)(rng)) e.next_hop = address();
+      host.add_route(e);
+      ref.add_route(e);
+    } else if (op < 60) {
+      const Address a = address();
+      const int len = prefix_len();
+      host.remove_route(a, len);
+      ref.remove_route(a, len);
+    } else if (op < 61) {
+      const Interface i = iface();
+      host.clear_routes(i);
+      ref.clear_routes(i);
+    } else {
+      const Address dst = address();
+      const auto got = host.lookup_route(dst);
+      const auto want = ref.lookup_route(dst);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+      if (!want) continue;
+      ++hits;
+      ASSERT_EQ(got->prefix, want->prefix) << "step " << step;
+      ASSERT_EQ(got->prefix_len, want->prefix_len) << "step " << step;
+      ASSERT_EQ(got->next_hop, want->next_hop) << "step " << step;
+      ASSERT_EQ(got->iface, want->iface) << "step " << step;
+      ASSERT_EQ(got->metric, want->metric) << "step " << step;
+    }
+    ASSERT_EQ(host.route_count(), ref.size()) << "step " << step;
+  }
+  EXPECT_GT(hits, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FibDifferential,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 TEST(MobilityTest, StaticStaysPut) {
   StaticMobility m({3, 4});

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <numeric>
+#include <random>
+#include <unordered_map>
 
 #include "routing/olsr.hpp"
 #include "scenario/scenario.hpp"
@@ -12,6 +15,54 @@ namespace siphoc::routing {
 namespace {
 
 using net::Address;
+
+// The compact duplicate set against the hash map plus key FIFO it
+// replaced, over random inserts (a narrow key range, key 0 included, so
+// probe runs collide and wrap), relay marks and expiry sweeps.
+TEST(OlsrDuplicateSetTest, MatchesMapReference) {
+  std::mt19937_64 rng(3);
+  OlsrDuplicateSet set;
+  struct Entry {
+    TimePoint expires;
+    bool relayed = false;
+  };
+  std::unordered_map<std::uint64_t, Entry> ref;
+  std::deque<std::uint64_t> ref_order;
+  TimePoint t{};
+  std::size_t duplicates = 0;
+  for (int step = 0; step < 200000; ++step) {
+    t += milliseconds(std::uniform_int_distribution<int>(0, 3)(rng));
+    if (std::uniform_int_distribution<int>(0, 99)(rng) < 2) {
+      set.expire(t);
+      while (!ref_order.empty() && ref.at(ref_order.front()).expires <= t) {
+        ref.erase(ref_order.front());
+        ref_order.pop_front();
+      }
+      ASSERT_EQ(set.size(), ref.size()) << "step " << step;
+      continue;
+    }
+    // Originators in a /24, a few msg_seq values: keys collide in the
+    // table's low bits; originator 0 / seq 0 makes key 0.
+    const std::uint64_t originator =
+        std::uniform_int_distribution<std::uint64_t>(0, 40)(rng);
+    const std::uint64_t seq = std::uniform_int_distribution<std::uint64_t>(0, 60)(rng);
+    const std::uint64_t key = originator == 0 ? seq : ((0x0a000000 + originator) << 16) | seq;
+    const TimePoint expires = t + seconds(30);
+    bool inserted = false;
+    const std::size_t slot = set.find_or_insert(key, expires, inserted);
+    const auto [it, fresh] = ref.try_emplace(key, Entry{expires, false});
+    if (fresh) ref_order.push_back(key);
+    ASSERT_EQ(inserted, fresh) << "step " << step;
+    ASSERT_EQ(set.find(key), slot);
+    ASSERT_EQ(set.relayed(slot), it->second.relayed) << "step " << step;
+    if (!fresh) ++duplicates;
+    if (!it->second.relayed && std::bernoulli_distribution(0.3)(rng)) {
+      set.set_relayed(slot);
+      it->second.relayed = true;
+    }
+  }
+  EXPECT_GT(duplicates, 10000u);
+}
 
 class OlsrNet : public ::testing::Test {
  protected:
@@ -240,13 +291,17 @@ class OlsrLapse : public ::testing::Test {
                    1};
   }
 
-  /// n1 broadcasts one HELLO, listing n0 as a symmetric neighbor or not.
-  void hello_from_n1(bool lists_n0) {
+  /// n1 broadcasts one HELLO, listing n0 as a symmetric neighbor or not,
+  /// and `others` as further symmetric neighbors (n0's two-hop nodes).
+  void hello_from_n1(bool lists_n0, std::vector<Address> others = {}) {
     olsr::Message m;
     m.type = olsr::MsgType::kHello;
     m.originator = addr(1);
     m.msg_seq = ++msg_seq_;
-    if (lists_n0) m.hello.links.push_back({olsr::LinkCode::kSym, {addr(0)}});
+    if (lists_n0) others.insert(others.begin(), addr(0));
+    if (!others.empty()) {
+      m.hello.links.push_back({olsr::LinkCode::kSym, std::move(others)});
+    }
     send(std::move(m));
   }
 
@@ -300,6 +355,26 @@ TEST_F(OlsrLapse, SymmetryLapsesWhileNeighborKeepsTalking) {
   EXPECT_FALSE(daemon_->symmetric_neighbors().contains(addr(1)));
   EXPECT_FALSE(daemon_->has_route(addr(1)));
   EXPECT_FALSE(hosts_[0]->lookup_route(addr(1)));  // gone from the FIB too
+}
+
+TEST_F(OlsrLapse, LapsedNeighborLeavesMprSet) {
+  // n1 lists n0 and a far node n9 that only n1 reaches, so n1 is n0's MPR.
+  // From t = 1 s on n1 reports the same two-hop list but no longer lists
+  // n0: no HELLO marks the selection dirty, and only the clock ends n1's
+  // symmetry (neighbor_hold 6 s after the HELLO at t = 0). The selection
+  // run by the first HELLO after that must drop n1.
+  hello_from_n1(true, {addr(9)});
+  sim_->run_for(seconds(1));
+  ASSERT_TRUE(daemon_->mpr_set().contains(addr(1)));
+  for (int i = 0; i < 4; ++i) {  // HELLOs at t = 1, 3, 5 and 7 s
+    hello_from_n1(false, {addr(9)});
+    sim_->run_for(seconds(2));
+    if (i == 2) {  // t = 7 s: lapsed, but no selection has run since
+      EXPECT_FALSE(daemon_->symmetric_neighbors().contains(addr(1)));
+    }
+  }
+  EXPECT_FALSE(daemon_->symmetric_neighbors().contains(addr(1)));
+  EXPECT_TRUE(daemon_->mpr_set().empty());
 }
 
 TEST_F(OlsrLapse, TopologyEdgeExpiresBetweenHousekeepingTicks) {
